@@ -23,9 +23,6 @@ from .model import (
     ALL_SIGNALS,
     ALPHA,
     BETA,
-    DEFAULT_TOL,
-    BeliefStage,
-    BeliefState,
     InformationStructure,
     PayoffStructure,
     Scenario,
@@ -33,25 +30,18 @@ from .model import (
     SignalComponentValue,
     StateOfWorld,
     conditional_second,
-    full_belief,
-    interim_belief,
     marginal_first,
     posterior_after_first,
     posterior_after_both,
     sample_signal_batch,
-    sample_state_and_signal,
 )
 from .incentives import (
     AcquisitionAction,
-    AdmissibleCostSet,
     acquisition_decision,
-    admissible_costs,
     case_interval,
     case_thresholds,
     classify_case,
-    expected_utility_skip,
     max_willingness_to_pay,
-    optimal_guess,
     willingness_to_pay,
 )
 from .sets import (
@@ -70,13 +60,11 @@ from .patterns import (
     ConfirmationReport,
     DisconfirmationReport,
     PairwiseOutcome,
-    PatternReport,
     PolarizationFeasibility,
     ReactionReport,
     confirmation_report,
     disconfirmation_report,
     pairwise_outcome,
-    pattern_report,
     polarization_feasible,
     polarization_partners,
     polarization_probability,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .oracle import (
     ALL_CHECKS,
     DEFAULT_COSTS,
     DEFAULT_THETAS,
+    PATTERN_IDS,
     brute_force_voi,
     default_prior_grid,
     grid_theorem_check,
@@ -65,7 +66,7 @@ from .patterns import (
     reaction_report,
     realized_posterior,
 )
-from .sets import classify_pair, inversion_thresholds
+from .sets import PairClass, classify_pair, inversion_thresholds
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--pattern",
                 default="PB",
-                choices=("PB", "CB", "DB", "UR", "OR"),
+                choices=PATTERN_IDS,
                 help="belief pattern to estimate",
             )
         if name in ("simulate", "verify"):
@@ -157,21 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else DEFAULT_CONFIG
     overrides = {}
-    for key in (
-        "theta1",
-        "theta2",
-        "u_correct",
-        "u_wrong",
-        "cost",
-        "priors",
-        "costs",
-        "subjective_p",
-        "seed",
-        "grid",
-    ):
-        value = getattr(args, key, None)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = value
+            overrides[field.name] = value
     if overrides:
         config = replace(config, **overrides).validate("<overrides>")
     return config
@@ -192,13 +182,13 @@ def cmd_wtp(config: RunConfig, args) -> int:
     for p in np.linspace(0.0, 1.0, config.grid):
         p = float(p)
         rows.append(
-            {
-                "p": p,
-                "wtp_alpha": willingness_to_pay(p, info, payoffs, ALPHA),
-                "wtp_beta": willingness_to_pay(p, info, payoffs, BETA),
-                "case_alpha": classify_case(p, info, ALPHA),
-                "case_beta": classify_case(p, info, BETA),
-            }
+            (
+                p,
+                willingness_to_pay(p, info, payoffs, ALPHA),
+                willingness_to_pay(p, info, payoffs, BETA),
+                classify_case(p, info, ALPHA),
+                classify_case(p, info, BETA),
+            )
         )
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
@@ -210,14 +200,7 @@ def cmd_partition(config: RunConfig, args) -> int:
     rows = []
     for case in range(1, 9):
         lower, upper = case_interval(case, info)
-        rows.append(
-            {
-                "case": case,
-                "first_component": "alpha" if case <= 4 else "beta",
-                "lower": lower,
-                "upper": upper,
-            }
-        )
+        rows.append((case, "alpha" if case <= 4 else "beta", lower, upper))
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
 
@@ -225,39 +208,14 @@ def cmd_partition(config: RunConfig, args) -> int:
 def cmd_sets(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     grid = [float(p) for p in np.linspace(0.0, 1.0, config.grid)]
-    columns = [
-        "p_low",
-        "p_high",
-        "cost",
-        "b_low_alpha",
-        "b_high_beta",
-        "b_high_alpha",
-        "b_low_beta",
-        "v_low_alpha",
-        "v_high_beta",
-        "v_high_alpha",
-        "v_low_beta",
-    ]
+    columns = ["p_low", "p_high", "cost"]
+    columns += [f.name.removeprefix("in_") for f in fields(PairClass)]
     rows = []
     for cost in config.cost_list():
         for i, p_low in enumerate(grid):
             for p_high in grid[i:]:
                 pair = classify_pair(p_low, p_high, cost, info, payoffs)
-                rows.append(
-                    {
-                        "p_low": p_low,
-                        "p_high": p_high,
-                        "cost": cost,
-                        "b_low_alpha": pair.in_b_low_alpha,
-                        "b_high_beta": pair.in_b_high_beta,
-                        "b_high_alpha": pair.in_b_high_alpha,
-                        "b_low_beta": pair.in_b_low_beta,
-                        "v_low_alpha": pair.in_v_low_alpha,
-                        "v_high_beta": pair.in_v_high_beta,
-                        "v_high_alpha": pair.in_v_high_alpha,
-                        "v_low_beta": pair.in_v_low_beta,
-                    }
-                )
+                rows.append((p_low, p_high, cost, *vars(pair).values()))
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
 
@@ -412,23 +370,21 @@ def cmd_polarize(config: RunConfig, args) -> int:
     for signal in ALL_SIGNALS:
         outcome = pairwise_outcome(p_low, p_high, info, payoffs, cost, signal)
         rows.append(
-            {
-                "sigma1": signal.first.value,
-                "sigma2": signal.second.value,
-                "divergence": outcome.divergence,
-                "inversion": outcome.inversion,
-                "polarized": outcome.polarized,
-                "realized_low": outcome.realized_posteriors[0],
-                "realized_high": outcome.realized_posteriors[1],
-                "action_low": outcome.acquisitions[0].value,
-                "action_high": outcome.acquisitions[1].value,
-                "feasible": feas.feasible,
-                "via_alpha": feas.via_alpha,
-                "via_beta": feas.via_beta,
-                "via_alpha_swap": feas.via_alpha_swap,
-                "via_beta_swap": feas.via_beta_swap,
-                "probability": probability,
-            }
+            (
+                signal.first.value,
+                signal.second.value,
+                outcome.divergence,
+                outcome.inversion,
+                outcome.polarized,
+                *outcome.realized_posteriors,
+                *(action.value for action in outcome.acquisitions),
+                feas.feasible,
+                feas.via_alpha,
+                feas.via_beta,
+                feas.via_alpha_swap,
+                feas.via_beta_swap,
+                probability,
+            )
         )
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
@@ -469,16 +425,16 @@ def cmd_simulate(config: RunConfig, args) -> int:
         "within_3se",
     ]
     rows = [
-        {
-            "pattern": pattern,
-            "draws": estimate.draws,
-            "seed": estimate.seed,
-            "frequency": estimate.frequency,
-            "standard_error": estimate.standard_error,
-            "analytic": analytic,
-            "abs_error": abs(estimate.frequency - analytic),
-            "within_3se": estimate.within(analytic),
-        }
+        (
+            pattern,
+            estimate.draws,
+            estimate.seed,
+            estimate.frequency,
+            estimate.standard_error,
+            analytic,
+            abs(estimate.frequency - analytic),
+            estimate.within(analytic),
+        )
     ]
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ModelError
-from .model import InformationStructure, PayoffStructure, Scenario
+from .model import (
+    InformationStructure,
+    PayoffStructure,
+    Scenario,
+    check_cost,
+    check_probability,
+)
 
 _FLOAT_FORMAT = "%.12g"
 
@@ -54,15 +59,12 @@ class RunConfig:
         """Re-run all underlying type constraints; raise ConfigError on failure."""
         try:
             self.scenario()
-            if self.subjective_p is not None and not 0.0 <= self.subjective_p <= 1.0:
-                raise ModelError(
-                    f"subjective_p must lie in [0, 1], got {self.subjective_p}"
-                )
+            if self.subjective_p is not None:
+                check_probability(self.subjective_p, "subjective_p")
             if self.grid < 2:
                 raise ModelError(f"grid must have at least 2 points, got {self.grid}")
             for c in self.cost_list():
-                if not (math.isfinite(c) and c >= 0):
-                    raise ModelError(f"costs must be >= 0, got {c}")
+                check_cost(c, "costs")
         except ModelError as exc:
             raise ConfigError(str(exc), source=source) from exc
         return self
@@ -136,6 +138,7 @@ def load_config(path) -> RunConfig:
 
 
 def _format_value(value) -> str:
+    """Render one config value or table cell the same way for CSV and JSON."""
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -152,31 +155,27 @@ def dump_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_cell(value) -> str:
-    """Render one table cell the same way for CSV and JSON."""
-    return _format_value(value)
-
-
 def _json_ready(value):
     if isinstance(value, float):
         return float(_FLOAT_FORMAT % value)
     return value
 
 
-def render_csv(columns: list[str], rows: list[dict]) -> str:
+def render_csv(columns: list[str], rows: list[tuple]) -> str:
     out = io.StringIO()
     out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join(format_cell(row[c]) for c in columns) + "\n")
+        out.write(",".join(map(_format_value, row)) + "\n")
     return out.getvalue()
 
 
-def render_json(columns: list[str], rows: list[dict]) -> str:
-    records = [{c: _json_ready(row[c]) for c in columns} for row in rows]
+def render_json(columns: list[str], rows: list[tuple]) -> str:
+    records = [{c: _json_ready(v) for c, v in zip(columns, row)} for row in rows]
     return json.dumps(records, indent=2) + "\n"
 
 
-def render_table(columns: list[str], rows: list[dict], fmt: str) -> str:
+def render_table(columns: list[str], rows: list[tuple], fmt: str) -> str:
+    """Render rows, each a sequence of cells in column order, as CSV or JSON."""
     if fmt == "csv":
         return render_csv(columns, rows)
     if fmt == "json":

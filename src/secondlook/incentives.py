@@ -29,19 +29,16 @@ Boundary conventions, chosen once and kept everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
 from .model import (
     ALPHA,
     BETA,
-    BeliefState,
     InformationStructure,
     PayoffStructure,
     Scenario,
     SignalComponentValue,
-    StateOfWorld,
     check_probability,
 )
 
@@ -49,20 +46,6 @@ from .model import (
 class AcquisitionAction(Enum):
     ACQUIRE = "acquire"
     SKIP = "skip"
-
-
-@dataclass(frozen=True)
-class AdmissibleCostSet:
-    """The interval [0, upper] of processing costs worth paying."""
-
-    upper: float
-
-    def __post_init__(self):
-        if self.upper < 0:
-            raise ParameterError(f"cost threshold must be >= 0, got {self.upper}")
-
-    def contains(self, cost: float) -> bool:
-        return 0.0 <= cost <= self.upper
 
 
 def case_thresholds(info: InformationStructure, s1: SignalComponentValue) -> tuple[float, float, float]:
@@ -162,16 +145,6 @@ def max_willingness_to_pay(
     return payoffs.delta_u * (info.theta2 - 0.5)
 
 
-def admissible_costs(
-    p: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-    s1: SignalComponentValue,
-) -> AdmissibleCostSet:
-    """All processing costs this decision-maker would pay after ``s1``."""
-    return AdmissibleCostSet(willingness_to_pay(p, info, payoffs, s1))
-
-
 def acquisition_decision(
     p: float, scenario: Scenario, s1: SignalComponentValue
 ) -> AcquisitionAction:
@@ -182,15 +155,3 @@ def acquisition_decision(
     """
     wtp = willingness_to_pay(p, scenario.info, scenario.payoffs, s1)
     return AcquisitionAction.ACQUIRE if scenario.cost <= wtp else AcquisitionAction.SKIP
-
-
-def optimal_guess(belief: BeliefState) -> StateOfWorld:
-    """Expected-utility-maximizing guess; exactly 1/2 resolves to A."""
-    return StateOfWorld.A if belief.prob_a >= 0.5 else StateOfWorld.B
-
-
-def expected_utility_skip(p_after_first: float, payoffs: PayoffStructure) -> float:
-    """Expected utility of guessing now, without the second component."""
-    q = check_probability(p_after_first, "p_after_first")
-    hi, lo = max(q, 1.0 - q), min(q, 1.0 - q)
-    return hi * payoffs.u_correct + lo * payoffs.u_wrong

@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import InvalidProbabilityError, ParameterError
 
-#: Absolute tolerance for threshold comparisons throughout the package.
-DEFAULT_TOL = 1e-12
-
 
 class StateOfWorld(Enum):
     A = "A"
@@ -38,15 +35,6 @@ class StateOfWorld(Enum):
 class SignalComponentValue(Enum):
     ALPHA = "alpha"
     BETA = "beta"
-
-    @classmethod
-    def parse(cls, text: str) -> "SignalComponentValue":
-        key = text.strip().lower()
-        if key in ("alpha", "a"):
-            return cls.ALPHA
-        if key in ("beta", "b"):
-            return cls.BETA
-        raise ParameterError(f"unknown signal component value: {text!r}")
 
 
 ALPHA = SignalComponentValue.ALPHA
@@ -59,10 +47,6 @@ class Signal:
 
     first: SignalComponentValue
     second: SignalComponentValue
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
 
     def label(self) -> str:
         return f"({self.first.value}, {self.second.value})"
@@ -90,19 +74,10 @@ class InformationStructure:
 
     def __post_init__(self):
         for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
-            if not 0.5 < value < 1.0:
+            if not 0.5 < _check_real(value, name) < 1.0:
                 raise ParameterError(
                     f"{name} must lie strictly between 1/2 and 1, got {value}"
                 )
-
-    def precision(self, component: int) -> float:
-        if component == 1:
-            return self.theta1
-        if component == 2:
-            return self.theta2
-        raise ParameterError(f"signal has components 1 and 2, not {component}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +88,8 @@ class PayoffStructure:
     u_wrong: float
 
     def __post_init__(self):
-        for name, value in (("u_correct", self.u_correct), ("u_wrong", self.u_wrong)):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+        _check_real(self.u_correct, "u_correct")
+        _check_real(self.u_wrong, "u_wrong")
         if not self.u_correct - self.u_wrong > 0:
             raise ParameterError(
                 "the premium for guessing correctly must be positive "
@@ -125,31 +99,6 @@ class PayoffStructure:
     @property
     def delta_u(self) -> float:
         return self.u_correct - self.u_wrong
-
-
-class BeliefStage(Enum):
-    PRIOR = "prior"
-    AFTER_FIRST = "after_first"
-    AFTER_BOTH = "after_both"
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """A probability of state A together with which components produced it."""
-
-    prob_a: float
-    seen: tuple[SignalComponentValue, ...] = ()
-
-    def __post_init__(self):
-        check_probability(self.prob_a, "prob_a")
-        if len(self.seen) > 2:
-            raise ParameterError("a belief can condition on at most two components")
-
-    @property
-    def stage(self) -> BeliefStage:
-        return (BeliefStage.PRIOR, BeliefStage.AFTER_FIRST, BeliefStage.AFTER_BOTH)[
-            len(self.seen)
-        ]
 
 
 @dataclass(frozen=True)
@@ -166,8 +115,7 @@ class Scenario:
     priors: tuple[float, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.cost) and self.cost >= 0):
-            raise ParameterError(f"processing cost must be >= 0, got {self.cost}")
+        check_cost(self.cost, "processing cost")
         if len(self.priors) not in (1, 2):
             raise ParameterError("a scenario holds one prior or an ordered pair")
         for p in self.priors:
@@ -178,8 +126,31 @@ class Scenario:
             )
 
 
+def _check_real(value, name: str) -> float:
+    # A finite int or float; bools are ints to Python but not numbers here.
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and math.isfinite(value)
+    ):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def check_cost(c: float, name: str = "cost") -> float:
+    """Validate a processing cost: a finite number >= 0; NaN, inf and bools raise."""
+    # The grid checks make millions of calls: settle a plain float first.
+    if type(c) is float and 0.0 <= c < math.inf:
+        return c
+    if _check_real(c, name) < 0:
+        raise ParameterError(f"{name} must be >= 0, got {c!r}")
+    return c
+
+
 def check_probability(p: float, name: str = "p") -> float:
-    """Validate that ``p`` is a probability; NaN and out-of-range values raise."""
+    """Validate that ``p`` is a probability; NaN, bools and out-of-range values raise."""
+    if type(p) is float and 0.0 <= p <= 1.0:  # the fast path, as in check_cost
+        return p
+    if isinstance(p, bool):
+        raise InvalidProbabilityError(f"{name} must be a number, got {p!r}")
     try:
         value = float(p)
     except (TypeError, ValueError):
@@ -255,45 +226,10 @@ def conditional_second(
     )
 
 
-def interim_belief(
-    p: float, info: InformationStructure, s1: SignalComponentValue
-) -> BeliefState:
-    """Tagged belief after the free component only."""
-    return BeliefState(posterior_after_first(p, info, s1), (s1,))
-
-
-def full_belief(
-    p: float,
-    info: InformationStructure,
-    s1: SignalComponentValue,
-    s2: SignalComponentValue,
-) -> BeliefState:
-    """Tagged belief after both components."""
-    return BeliefState(posterior_after_both(p, info, s1, s2), (s1, s2))
-
-
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def sample_state_and_signal(
-    p: float, info: InformationStructure, rng
-) -> tuple[StateOfWorld, Signal]:
-    """Draw one (state, signal) pair.
-
-    ``rng`` is an integer seed or a ``numpy.random.Generator``.  The state is
-    A with probability ``p``; each component then matches the state with its
-    own precision, independently of the other component.
-    """
-    state_a, first_a, second_a = sample_signal_batch(p, info, 1, rng)
-    state = StateOfWorld.A if state_a[0] else StateOfWorld.B
-    signal = Signal(
-        ALPHA if first_a[0] else BETA,
-        ALPHA if second_a[0] else BETA,
-    )
-    return state, signal
 
 
 def sample_signal_batch(

@@ -178,7 +178,11 @@ class MonteCarloEstimate:
     seed: int
 
     def within(self, value: float, n_se: float = 3.0) -> bool:
-        return abs(self.frequency - value) <= n_se * self.standard_error
+        # The standard error of ``value`` itself: the estimate's own is zero
+        # when there are no hits, which would reject any positive value.
+        return abs(self.frequency - value) <= n_se * math.sqrt(
+            value * (1.0 - value) / self.draws
+        )
 
 
 def _pattern_indicator(
@@ -195,12 +199,17 @@ def _pattern_indicator(
     if pattern in ("CB", "DB"):
         report = confirmation_report(p, info, payoffs, cost, signal)
         return report.confirmatory if pattern == "CB" else report.disproving
-    if pattern in ("UR", "OR"):
-        report = reaction_report(p, info, payoffs, cost, signal)
-        return report.underreaction if pattern == "UR" else report.overreaction
-    raise UnknownPatternError(
-        f"unknown pattern {pattern!r}; expected one of {', '.join(PATTERN_IDS)}"
-    )
+    report = reaction_report(p, info, payoffs, cost, signal)
+    return report.underreaction if pattern == "UR" else report.overreaction
+
+
+def _check_pattern(pattern: str, p_j: float | None) -> None:
+    if pattern not in PATTERN_IDS:
+        raise UnknownPatternError(
+            f"unknown pattern {pattern!r}; expected one of {', '.join(PATTERN_IDS)}"
+        )
+    if pattern == "PB" and p_j is None:
+        raise ParameterError("pattern 'PB' needs the second prior p_j")
 
 
 def pattern_probability(
@@ -221,12 +230,7 @@ def pattern_probability(
     the closed form it mirrors (see ``polarization_probability``).
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
-    if pattern not in PATTERN_IDS:
-        raise UnknownPatternError(
-            f"unknown pattern {pattern!r}; expected one of {', '.join(PATTERN_IDS)}"
-        )
-    if pattern == "PB" and p_j is None:
-        raise ParameterError("pattern 'PB' needs the second prior p_j")
+    _check_pattern(pattern, p_j)
     total = 0.0
     for signal in ALL_SIGNALS:
         if pattern == "PB":
@@ -267,14 +271,9 @@ def mc_pattern_frequency(
     polarization.  Identical seeds give identical estimates bit for bit.
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
-    if pattern not in PATTERN_IDS:
-        raise UnknownPatternError(
-            f"unknown pattern {pattern!r}; expected one of {', '.join(PATTERN_IDS)}"
-        )
+    _check_pattern(pattern, p_j)
     if draws < 1:
         raise ParameterError(f"need at least one draw, got {draws}")
-    if pattern == "PB" and p_j is None:
-        raise ParameterError("pattern 'PB' needs the second prior p_j")
     rng = np.random.default_rng(seed)
     if pattern == "PB":
         prob1 = marginal_first(p_subjective, info, ALPHA)

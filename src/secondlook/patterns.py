@@ -42,6 +42,7 @@ from .model import (
     PayoffStructure,
     Signal,
     SignalComponentValue,
+    check_cost,
     check_probability,
     marginal_first,
     posterior_after_both,
@@ -73,8 +74,7 @@ def realized_posterior(
     ACQUIRE, for the given signal realization.
     """
     p = check_probability(p)
-    if cost < 0:
-        raise ParameterError(f"cost must be >= 0, got {cost}")
+    cost = check_cost(cost)
     if _acquires(p, info, payoffs, cost, signal.first):
         return (
             posterior_after_both(p, info, signal.first, signal.second),
@@ -187,14 +187,14 @@ def polarization_feasible(
     p_j = check_probability(p_j, "p_j")
     if not p_i < p_j:
         raise OrderingError(f"pair priors must satisfy p_i < p_j, got ({p_i}, {p_j})")
+    if c is not None:
+        c = check_cost(c)
     theta_ok = info.theta2 > info.theta1
     pair = classify_pair(p_i, p_j, 0.0 if c is None else c, info, payoffs)
     if c is None:
         low_alpha, high_beta = pair.in_v_low_alpha, pair.in_v_high_beta
         high_alpha, low_beta = pair.in_v_high_alpha, pair.in_v_low_beta
     else:
-        if c < 0:
-            raise ParameterError(f"cost must be >= 0, got {c}")
         low_alpha, high_beta = pair.in_b_low_alpha, pair.in_b_high_beta
         high_alpha, low_beta = pair.in_b_high_alpha, pair.in_b_low_beta
     via_alpha = theta_ok and low_alpha
@@ -326,8 +326,7 @@ def disconfirmation_report(
     favors neither state and reports false on both counts.
     """
     p = check_probability(p)
-    if cost < 0:
-        raise ParameterError(f"cost must be >= 0, got {cost}")
+    cost = check_cost(cost)
     wtp_a = willingness_to_pay(p, info, payoffs, ALPHA)
     wtp_b = willingness_to_pay(p, info, payoffs, BETA)
     if p > 0.5:
@@ -433,54 +432,4 @@ def reaction_report(
         prior=p,
         full_posterior=full,
         realized=realized,
-    )
-
-
-@dataclass(frozen=True)
-class PatternReport:
-    """All single-decision-maker verdicts for one signal, with their witnesses."""
-
-    disconfirmation_tendency: bool
-    exhibits_disconfirmation: bool
-    confirmatory: bool
-    disproving: bool
-    underreaction: bool
-    overreaction: bool
-    witnesses: dict
-
-    def __post_init__(self):
-        if self.confirmatory and self.disproving:
-            raise ParameterError("confirmatory and disproving are mutually exclusive")
-        if self.underreaction and self.overreaction:
-            raise ParameterError("under- and over-reaction are mutually exclusive")
-
-
-def pattern_report(
-    p: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-    cost: float,
-    signal: Signal,
-) -> PatternReport:
-    """Aggregate the individual pattern predicates with supporting numbers."""
-    disc = disconfirmation_report(p, info, payoffs, cost)
-    conf = confirmation_report(p, info, payoffs, cost, signal)
-    react = reaction_report(p, info, payoffs, cost, signal)
-    witnesses = {
-        "prior": p,
-        "wtp_alpha": disc.wtp_alpha,
-        "wtp_beta": disc.wtp_beta,
-        "cost": cost,
-        "realized": conf.realized,
-        "full_posterior": conf.full_posterior,
-        "acquired": conf.acquired,
-    }
-    return PatternReport(
-        disconfirmation_tendency=disc.tendency,
-        exhibits_disconfirmation=disc.exhibits,
-        confirmatory=conf.confirmatory,
-        disproving=conf.disproving,
-        underreaction=react.underreaction,
-        overreaction=react.overreaction,
-        witnesses=witnesses,
     )

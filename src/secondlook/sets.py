@@ -32,10 +32,10 @@ from .incentives import max_willingness_to_pay, willingness_to_pay
 from .model import (
     ALPHA,
     BETA,
-    DEFAULT_TOL,
     InformationStructure,
     PayoffStructure,
     SignalComponentValue,
+    check_cost,
     check_probability,
 )
 
@@ -94,8 +94,7 @@ def inversion_thresholds(
     Defined for 0 <= c <= the cost function's maximum; at the maximum both
     thresholds collapse onto the peak prior.
     """
-    if c < 0:
-        raise ParameterError(f"cost must be >= 0, got {c}")
+    c = check_cost(c)
     ceiling = max_willingness_to_pay(info, payoffs)
     if c > ceiling:
         raise ParameterError(
@@ -127,9 +126,7 @@ def h_set(
 
     Empty once ``c`` reaches the cost function's maximum.
     """
-    if c < 0:
-        raise ParameterError(f"cost must be >= 0, got {c}")
-    if c >= max_willingness_to_pay(info, payoffs):
+    if check_cost(c) >= max_willingness_to_pay(info, payoffs):
         return ProbabilityInterval.empty_interval()
     lower, upper = inversion_thresholds(c, info, payoffs, s1)
     return ProbabilityInterval.open(lower, upper)
@@ -187,15 +184,15 @@ def reciprocal_partner(
     info: InformationStructure,
     payoffs: PayoffStructure,
     s1: SignalComponentValue,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """The other prior with the same willingness to pay after ``s1``.
 
     The cost function rises on one side of its peak and falls on the other,
     so every non-extreme prior has exactly one partner on the opposite
-    branch; found by bisection there.  The peak prior is its own partner and
-    is returned as the degenerate fixed point.  Extreme priors have no
-    partner (the whole zero-willingness region is flat) and raise.
+    branch: the inversion threshold of its own willingness to pay that lies
+    across the peak.  The peak prior is its own partner and is returned as
+    the degenerate fixed point.  Extreme priors have no partner (the whole
+    zero-willingness region is flat) and raise.
     """
     p_i = check_probability(p_i, "p_i")
     ne = h_set(0.0, info, payoffs, s1)
@@ -207,25 +204,12 @@ def reciprocal_partner(
     peak = 1.0 - info.theta1 if s1 is ALPHA else info.theta1
     if p_i == peak:
         return p_i
-    target = willingness_to_pay(p_i, info, payoffs, s1)
-    if p_i < peak:
-        lo, hi = peak, ne.upper  # decreasing branch
-        decreasing = True
-    else:
-        lo, hi = ne.lower, peak  # increasing branch
-        decreasing = False
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        too_high = willingness_to_pay(mid, info, payoffs, s1) > target
-        if too_high == decreasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # Round-off can lift a prior next to the peak an ulp above the maximum.
+    target = min(
+        willingness_to_pay(p_i, info, payoffs, s1), max_willingness_to_pay(info, payoffs)
+    )
+    lower, upper = inversion_thresholds(target, info, payoffs, s1)
+    return upper if p_i < peak else lower
 
 
 @dataclass(frozen=True)
@@ -265,8 +249,7 @@ def classify_pair(
     p_j = check_probability(p_j, "p_j")
     if p_i > p_j:
         raise OrderingError(f"pair priors must satisfy p_i <= p_j, got ({p_i}, {p_j})")
-    if c < 0:
-        raise ParameterError(f"cost must be >= 0, got {c}")
+    c = check_cost(c)
     wtp_i_a = willingness_to_pay(p_i, info, payoffs, ALPHA)
     wtp_j_a = willingness_to_pay(p_j, info, payoffs, ALPHA)
     wtp_i_b = willingness_to_pay(p_i, info, payoffs, BETA)

@@ -87,6 +87,25 @@ def test_semantic_validation_wrapped_as_config_error():
         parse_config("cost = -1\n")
     with pytest.raises(ConfigError):
         parse_config("grid = 1\n")
+    with pytest.raises(ConfigError):
+        parse_config("subjective_p = 1.5\n")
+    with pytest.raises(ConfigError):
+        parse_config("costs = 0.1, nan\n")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"subjective_p": True},
+        {"subjective_p": float("nan")},
+        {"costs": (0.1, float("inf"))},
+        {"costs": (True,)},
+        {"cost": "0.1"},
+    ],
+)
+def test_validate_rejects_non_numbers(override):
+    with pytest.raises(ConfigError):
+        RunConfig(**override).validate()
 
 
 def test_optional_none_values():
@@ -97,10 +116,7 @@ def test_optional_none_values():
 
 def test_csv_and_json_emitters_agree():
     columns = ["name", "value", "flag", "count"]
-    rows = [
-        {"name": "a", "value": 1 / 3, "flag": True, "count": 2},
-        {"name": "b", "value": 0.30000000000000004, "flag": False, "count": 5},
-    ]
+    rows = [("a", 1 / 3, True, 2), ("b", 0.30000000000000004, False, 5)]
     csv_text = render_csv(columns, rows)
     json_rows = json.loads(render_json(columns, rows))
     lines = csv_text.strip().splitlines()
@@ -116,4 +132,4 @@ def test_csv_and_json_emitters_agree():
 
 def test_render_table_dispatch():
     with pytest.raises(ConfigError):
-        render_table(["a"], [{"a": 1}], "xml")
+        render_table(["a"], [(1,)], "xml")

@@ -7,20 +7,15 @@ from secondlook import (
     ALPHA,
     BETA,
     AcquisitionAction,
-    BeliefState,
     InformationStructure,
     PayoffStructure,
     Scenario,
-    StateOfWorld,
     acquisition_decision,
-    admissible_costs,
     brute_force_voi,
     case_interval,
     case_thresholds,
     classify_case,
-    expected_utility_skip,
     max_willingness_to_pay,
-    optimal_guess,
     willingness_to_pay,
 )
 
@@ -167,30 +162,6 @@ def test_acquisition_at_indifference_acquires(info, payoffs):
 def test_zero_cost_always_acquires(info, payoffs):
     scenario = Scenario(info, payoffs, 0.0, (0.95,))
     assert acquisition_decision(0.95, scenario, ALPHA) is AcquisitionAction.ACQUIRE
-
-
-def test_optimal_guess(info):
-    assert optimal_guess(BeliefState(0.7778)) is StateOfWorld.A
-    assert optimal_guess(BeliefState(0.1385)) is StateOfWorld.B
-    assert optimal_guess(BeliefState(0.5)) is StateOfWorld.A  # documented tie rule
-
-
-def test_expected_utility_skip_values():
-    payoffs = PayoffStructure(1.0, 0.0)
-    assert expected_utility_skip(0.5, payoffs) == pytest.approx(0.5, abs=1e-15)
-    assert expected_utility_skip(0.7778, payoffs) == pytest.approx(0.7778, abs=1e-15)
-    assert expected_utility_skip(0.2, PayoffStructure(2.0, 1.0)) == pytest.approx(
-        1.8, abs=1e-15
-    )
-
-
-def test_admissible_cost_set(info, payoffs):
-    costs = admissible_costs(0.3, info, payoffs, ALPHA)
-    assert costs.upper == willingness_to_pay(0.3, info, payoffs, ALPHA)
-    assert costs.contains(0.1)
-    assert not costs.contains(0.25)
-    assert costs.contains(0.0)
-    assert not costs.contains(-0.01)
 
 
 def test_willingness_agrees_with_enumeration_oracle(payoffs):

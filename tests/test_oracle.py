@@ -6,6 +6,7 @@ from secondlook import (
     ALPHA,
     EXTRA_CHECKS,
     InformationStructure,
+    MonteCarloEstimate,
     ParameterError,
     UnknownPatternError,
     brute_force_voi,
@@ -146,6 +147,17 @@ def test_mc_validates_inputs(info, payoffs):
         mc_pattern_frequency("PB", 0.5, 0.3, info, payoffs, 0.1, 100, 1)
     with pytest.raises(ParameterError):
         mc_pattern_frequency("UR", 0.5, 0.3, info, payoffs, 0.1, 0, 1)
+
+
+def test_mc_within_uses_the_standard_error_of_the_tested_value():
+    # With no hits the estimate's own standard error is zero; the interval
+    # must still admit a small positive value.
+    no_hits = MonteCarloEstimate(frequency=0.0, standard_error=0.0, draws=50, seed=0)
+    assert no_hits.within(0.01)
+    assert no_hits.within(0.0)
+    assert not no_hits.within(0.2)
+    one_hit = MonteCarloEstimate(frequency=0.02, standard_error=0.0198, draws=50, seed=0)
+    assert not one_hit.within(0.0)
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)

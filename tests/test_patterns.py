@@ -11,11 +11,12 @@ from secondlook import (
     OrderingError,
     ParameterError,
     Signal,
+    classify_pair,
     confirmation_report,
     disconfirmation_report,
     h_set,
+    inversion_thresholds,
     pairwise_outcome,
-    pattern_report,
     polarization_feasible,
     polarization_partners,
     polarization_probability,
@@ -24,6 +25,7 @@ from secondlook import (
     realized_posterior,
     willingness_to_pay,
 )
+from secondlook.model import check_cost
 
 
 def test_realized_posterior_reference(info, payoffs):
@@ -346,13 +348,27 @@ def test_overreaction_with_weaker_second_component(payoffs):
     assert 0.7 < report.full_posterior < report.realized
 
 
-def test_pattern_report_aggregates(info, payoffs):
-    report = pattern_report(0.7, info, payoffs, 0.1, Signal(ALPHA, BETA))
-    assert report.disconfirmation_tendency
-    assert report.exhibits_disconfirmation
-    assert report.confirmatory and not report.disproving
-    assert not report.underreaction and not report.overreaction
-    for key in ("prior", "wtp_alpha", "wtp_beta", "cost", "realized", "full_posterior"):
-        assert key in report.witnesses
-    ur = pattern_report(0.7, info, payoffs, 0.1, Signal(ALPHA, ALPHA))
-    assert ur.underreaction and not ur.overreaction
+COST_TAKERS = {
+    "check_cost": lambda c, info, payoffs: check_cost(c),
+    "inversion_thresholds": lambda c, info, payoffs: inversion_thresholds(
+        c, info, payoffs, ALPHA
+    ),
+    "h_set": lambda c, info, payoffs: h_set(c, info, payoffs, ALPHA),
+    "classify_pair": lambda c, info, payoffs: classify_pair(0.3, 0.7, c, info, payoffs),
+    "realized_posterior": lambda c, info, payoffs: realized_posterior(
+        0.3, info, payoffs, c, Signal(ALPHA, BETA)
+    ),
+    "polarization_feasible": lambda c, info, payoffs: polarization_feasible(
+        0.3, 0.7, info, payoffs, c
+    ),
+    "disconfirmation_report": lambda c, info, payoffs: disconfirmation_report(
+        0.7, info, payoffs, c
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1", True], ids=repr)
+@pytest.mark.parametrize("take", COST_TAKERS.values(), ids=COST_TAKERS.keys())
+def test_cost_must_be_a_finite_number(info, payoffs, take, bad):
+    with pytest.raises(ParameterError):
+        take(bad, info, payoffs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from secondlook import (
     ALPHA,
@@ -161,6 +163,31 @@ def test_reciprocal_partner_random_structures():
         for s1 in (ALPHA, BETA):
             lo, hi = inversion_thresholds(c, info, payoffs, s1)
             assert reciprocal_partner(lo, info, payoffs, s1) == pytest.approx(hi, abs=1e-8)
+
+
+# Precisions stay a little inside (1/2, 1), where the cost curve is neither
+# flat nor a spike.  Priors stay 1e-12 of its width inside the non-extreme
+# interval: an ulp from one end, the partner rounds onto the other end,
+# which is extreme and has no partner of its own.
+@given(
+    t1=st.floats(0.51, 0.99),
+    t2=st.floats(0.51, 0.99),
+    s1=st.sampled_from((ALPHA, BETA)),
+    u=st.floats(1e-12, 1.0 - 1e-12),
+)
+def test_reciprocal_partner_inverts_the_cost_function(t1, t2, s1, u):
+    info, payoffs = InformationStructure(t1, t2), PayoffStructure(1.0, 0.0)
+    ne = h_set(0.0, info, payoffs, s1)
+    p = ne.lower + u * (ne.upper - ne.lower)
+    peak = 1.0 - t1 if s1 is ALPHA else t1
+    assume(p != peak)
+    partner = reciprocal_partner(p, info, payoffs, s1)
+    assert abs(
+        willingness_to_pay(partner, info, payoffs, s1)
+        - willingness_to_pay(p, info, payoffs, s1)
+    ) <= 1e-12
+    assert (partner - peak) * (p - peak) <= 0.0
+    assert reciprocal_partner(partner, info, payoffs, s1) == pytest.approx(p, abs=1e-9)
 
 
 def test_reciprocal_partner_peak_is_own_partner(info, payoffs):
