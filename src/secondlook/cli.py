@@ -554,13 +554,15 @@ def cmd_verify(config: RunConfig, args) -> int:
             config.seed,
             p_j=config.priors[1],
         )
-        analytic = polarization_probability(
+        # Over all routes, crossing ones included, as the simulation counts.
+        analytic = pattern_probability(
+            "PB",
             config.subjective_p,
             config.priors[0],
-            config.priors[1],
             info,
             payoffs,
             config.cost,
+            p_j=config.priors[1],
         )
         ok = estimate.within(analytic, 4.0)
         mc_bad += 0 if ok else 1

@@ -146,10 +146,10 @@ def check_cost(c: float, name: str = "cost") -> float:
 
 
 def check_probability(p: float, name: str = "p") -> float:
-    """Validate that ``p`` is a probability; NaN, bools and out-of-range values raise."""
+    """Validate a probability; NaN, bools, strings and out-of-range values raise."""
     if type(p) is float and 0.0 <= p <= 1.0:  # the fast path, as in check_cost
         return p
-    if isinstance(p, bool):
+    if isinstance(p, (bool, str, bytes)):
         raise InvalidProbabilityError(f"{name} must be a number, got {p!r}")
     try:
         value = float(p)
@@ -198,6 +198,8 @@ def posterior_after_both(
     lb = _likelihood(info.theta1, s1, StateOfWorld.B) * _likelihood(
         info.theta2, s2, StateOfWorld.B
     )
+    if la == lb:  # uninformative, e.g. opposing components at equal precisions
+        return p
     num = la * p
     return num / (num + lb * (1.0 - p))
 

@@ -12,15 +12,14 @@ precision, and cost grids and compare them against independently coded
 characterizations (conditions on the signal realization, the cost, and the
 relative precisions).  Grid points within a small band of a case boundary,
 an inversion threshold, or an exact cost tie are skipped: there the floating
-point sign of a strict inequality is not meaningful.  A ``wtp_offset``
-lets tests deliberately break the characterization side to confirm the
-checkers actually catch disagreements.
+point sign of a strict inequality is not meaningful.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -316,6 +315,11 @@ DEFAULT_THETAS = ((0.6, 0.8), (0.55, 0.9), (0.8, 0.6))
 DEFAULT_COSTS = (0.05, 0.15, 0.25)
 #: Offset keeping verification grids away from the degenerate priors 0 and 1.
 GRID_MARGIN = 1e-7
+#: Half-width of the band the grid checks skip around case boundaries,
+#: inversion thresholds, exact cost ties and the prior 1/2.
+BOUNDARY_EPS = 1e-9
+#: Round-off the pairwise grid checks allow on the signs they test.
+SIGN_TOL = 1e-12
 
 
 def default_prior_grid(n: int = 101) -> np.ndarray:
@@ -337,21 +341,143 @@ def _critical_priors(
     return values
 
 
-def _excluded(p: float, critical: list[float], eps: float) -> bool:
-    return any(abs(p - v) <= eps for v in critical)
+def _near(x: float, values) -> bool:
+    return any(abs(x - v) <= BOUNDARY_EPS for v in values)
 
 
-def _cost_tied(
-    p: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-    cost: float,
-    eps: float,
-) -> bool:
-    return (
-        abs(willingness_to_pay(p, info, payoffs, ALPHA) - cost) <= eps
-        or abs(willingness_to_pay(p, info, payoffs, BETA) - cost) <= eps
-    )
+def _wtp_by_first(
+    p: float, info: InformationStructure, payoffs: PayoffStructure
+) -> dict[SignalComponentValue, float]:
+    return {s1: willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)}
+
+
+# Each claim below walks one (theta, cost) slice of kept priors and yields
+# ``(params, detail)`` per violation; ``grid_theorem_check`` prefixes theta1,
+# theta2 and cost to the params.
+
+
+def _polarization(keep, info, payoffs, cost):
+    for p_i, p_j in combinations(keep, 2):
+        feasible = polarization_feasible(p_i, p_j, info, payoffs, cost).feasible
+        realized = any(
+            pairwise_outcome(p_i, p_j, info, payoffs, cost, signal).polarized
+            for signal in ALL_SIGNALS
+        )
+        if feasible != realized:
+            yield (("p_i", p_i), ("p_j", p_j)), (
+                f"feasible={feasible} but realized={realized}"
+            )
+
+
+def _one_sided_updating(keep, info, payoffs, cost):
+    for p_i, p_j in combinations(keep, 2):
+        for signal in ALL_SIGNALS:
+            outcome = pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
+            same = outcome.acquisitions[0] is outcome.acquisitions[1]
+            if same and outcome.inversion < -SIGN_TOL:
+                yield (("p_i", p_i), ("p_j", p_j), ("signal", signal.label())), (
+                    f"same action but inversion={outcome.inversion}"
+                )
+
+
+def _mirrored(keep, info, payoffs, cost):
+    # Pairs with a mirrored acquisition asymmetry, each with the
+    # opposing-components signal at which it shows.
+    wtps = [(p, _wtp_by_first(p, info, payoffs)) for p in keep]
+    for (p_i, wtp_i), (p_j, wtp_j) in combinations(wtps, 2):
+        if wtp_j[ALPHA] > cost >= wtp_i[ALPHA]:  # high prior alone acquires after alpha
+            yield p_i, p_j, Signal(ALPHA, BETA)
+        if wtp_i[BETA] > cost >= wtp_j[BETA]:  # low prior alone acquires after beta
+            yield p_i, p_j, Signal(BETA, ALPHA)
+
+
+def _ordered_gap_contraction(keep, info, payoffs, cost):
+    if not info.theta2 > info.theta1:
+        return
+    for p_i, p_j, signal in _mirrored(keep, info, payoffs, cost):
+        outcome = pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
+        low, high = outcome.realized_posteriors
+        growth = (high - low) - (p_j - p_i)
+        if growth > SIGN_TOL:
+            yield (("p_i", p_i), ("p_j", p_j), ("signal", signal.label())), (
+                f"ordered gap grew by {growth}"
+            )
+
+
+def _mirrored_no_divergence(keep, info, payoffs, cost):
+    for p_i, p_j, signal in _mirrored(keep, info, payoffs, cost):
+        outcome = pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
+        if outcome.divergence < -SIGN_TOL:
+            yield (("p_i", p_i), ("p_j", p_j), ("signal", signal.label())), (
+                f"absolute gap widened: divergence={outcome.divergence}"
+            )
+
+
+def _disconfirmation(keep, info, payoffs, cost):
+    sets = extreme_sets(info)
+    for p in keep:
+        report = disconfirmation_report(p, info, payoffs, cost)
+        wtp = _wtp_by_first(p, info, payoffs)
+        char_tendency = p != 0.5 and not sets.is_extreme(p)
+        # Exhibits: acquires after the component contradicting the favored
+        # state and skips after the supporting one.
+        contrary, supportive = (BETA, ALPHA) if p > 0.5 else (ALPHA, BETA)
+        char_exhibits = p != 0.5 and wtp[contrary] > cost > wtp[supportive]
+        if report.tendency != char_tendency:
+            yield (("p", p),), (
+                f"tendency={report.tendency} vs characterization={char_tendency}"
+            )
+        if report.exhibits != char_exhibits:
+            yield (("p", p),), (
+                f"exhibits={report.exhibits} vs characterization={char_exhibits}"
+            )
+
+
+def _confirmation(keep, info, payoffs, cost):
+    theta_up = info.theta2 > info.theta1
+    for p in keep:
+        if abs(p - 0.5) <= BOUNDARY_EPS:
+            continue  # no favored state; the definition does not apply
+        wtp = _wtp_by_first(p, info, payoffs)
+        contrary_pattern = Signal(ALPHA, BETA) if p > 0.5 else Signal(BETA, ALPHA)
+        supportive_pattern = Signal(BETA, ALPHA) if p > 0.5 else Signal(ALPHA, BETA)
+        for signal in ALL_SIGNALS:
+            report = confirmation_report(p, info, payoffs, cost, signal)
+            skips = cost > wtp[signal.first]
+            char_cb = theta_up and skips and signal == contrary_pattern
+            char_db = theta_up and skips and signal == supportive_pattern
+            if report.confirmatory != char_cb or report.disproving != char_db:
+                yield (("p", p), ("signal", signal.label())), (
+                    f"(CB, DB)=({report.confirmatory}, {report.disproving}) "
+                    f"vs characterization ({char_cb}, {char_db})"
+                )
+
+
+def _reaction(keep, info, payoffs, cost):
+    theta_down = info.theta2 < info.theta1
+    for p in keep:
+        wtp = _wtp_by_first(p, info, payoffs)
+        for signal in ALL_SIGNALS:
+            report = reaction_report(p, info, payoffs, cost, signal)
+            skips = cost > wtp[signal.first]
+            char_ur = skips and signal.first is signal.second
+            char_or = skips and signal.first is not signal.second and theta_down
+            if report.underreaction != char_ur or report.overreaction != char_or:
+                yield (("p", p), ("signal", signal.label())), (
+                    f"(UR, OR)=({report.underreaction}, {report.overreaction}) "
+                    f"vs characterization ({char_ur}, {char_or})"
+                )
+
+
+_CLAIMS = {
+    "polarization": _polarization,
+    "disconfirmation": _disconfirmation,
+    "confirmation": _confirmation,
+    "reaction": _reaction,
+    "one_sided_updating": _one_sided_updating,
+    "ordered_gap_contraction": _ordered_gap_contraction,
+    "mirrored_no_divergence": _mirrored_no_divergence,
+}
 
 
 def grid_theorem_check(
@@ -360,9 +486,6 @@ def grid_theorem_check(
     thetas=DEFAULT_THETAS,
     costs=DEFAULT_COSTS,
     payoffs: PayoffStructure | None = None,
-    boundary_eps: float = 1e-9,
-    tol: float = 1e-12,
-    wtp_offset: float = 0.0,
 ) -> list[Violation]:
     """Machine-check one of the package's equivalence or sign claims on a grid.
 
@@ -402,17 +525,12 @@ def grid_theorem_check(
         raise ParameterError(
             f"unknown check {check!r}; expected one of {ALL_CHECKS + EXTRA_CHECKS}"
         )
+    claim = _CLAIMS[check]
     if priors is None:
         priors = default_prior_grid()
     if payoffs is None:
         payoffs = PayoffStructure(1.0, 0.0)
     violations: list[Violation] = []
-    pairwise = check in (
-        "polarization",
-        "one_sided_updating",
-        "ordered_gap_contraction",
-        "mirrored_no_divergence",
-    )
     for theta1, theta2 in thetas:
         info = InformationStructure(theta1, theta2)
         for cost in costs:
@@ -420,171 +538,12 @@ def grid_theorem_check(
             keep = [
                 p
                 for p in priors
-                if not _excluded(p, critical, boundary_eps)
-                and not _cost_tied(p, info, payoffs, cost, boundary_eps)
+                if not _near(p, critical)
+                and not _near(cost, _wtp_by_first(p, info, payoffs).values())
             ]
-            if pairwise:
-                _check_pairwise(
-                    check, keep, info, payoffs, cost, tol, wtp_offset, violations
-                )
-            else:
-                _check_single(
-                    check, keep, info, payoffs, cost, boundary_eps, wtp_offset, violations
-                )
+            base = (("theta1", info.theta1), ("theta2", info.theta2), ("cost", cost))
+            violations.extend(
+                Violation(check, base + params, detail)
+                for params, detail in claim(keep, info, payoffs, cost)
+            )
     return violations
-
-
-def _char_feasible(
-    p_i, p_j, info, payoffs, cost, wtp_offset
-) -> bool:
-    # Characterization side with an optional deliberate perturbation; with a
-    # zero offset this is exactly the public feasibility predicate.
-    if wtp_offset == 0.0:
-        return polarization_feasible(p_i, p_j, info, payoffs, cost).feasible
-    if not info.theta2 > info.theta1:
-        return False
-    wtp = lambda p, s1: willingness_to_pay(p, info, payoffs, s1) + wtp_offset
-    via_alpha = wtp(p_i, ALPHA) > cost >= wtp(p_j, ALPHA)
-    via_beta = wtp(p_j, BETA) > cost >= wtp(p_i, BETA)
-    return via_alpha or via_beta
-
-
-def _check_pairwise(check, keep, info, payoffs, cost, tol, wtp_offset, violations):
-    base = (("theta1", info.theta1), ("theta2", info.theta2), ("cost", cost))
-    for a, p_i in enumerate(keep):
-        for p_j in keep[a + 1 :]:
-            outcomes = {
-                signal: pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
-                for signal in ALL_SIGNALS
-            }
-            params = base + (("p_i", p_i), ("p_j", p_j))
-            if check == "polarization":
-                feasible = _char_feasible(p_i, p_j, info, payoffs, cost, wtp_offset)
-                realized = any(o.polarized for o in outcomes.values())
-                if feasible != realized:
-                    violations.append(
-                        Violation(
-                            check,
-                            params,
-                            f"feasible={feasible} but realized={realized}",
-                        )
-                    )
-            elif check == "one_sided_updating":
-                for signal, outcome in outcomes.items():
-                    same = outcome.acquisitions[0] is outcome.acquisitions[1]
-                    if same and outcome.inversion < -tol:
-                        violations.append(
-                            Violation(
-                                check,
-                                params + (("signal", signal.label()),),
-                                f"same action but inversion={outcome.inversion}",
-                            )
-                        )
-            else:  # ordered_gap_contraction / mirrored_no_divergence
-                wtp_i_a = willingness_to_pay(p_i, info, payoffs, ALPHA)
-                wtp_j_a = willingness_to_pay(p_j, info, payoffs, ALPHA)
-                wtp_i_b = willingness_to_pay(p_i, info, payoffs, BETA)
-                wtp_j_b = willingness_to_pay(p_j, info, payoffs, BETA)
-                mirrored = []
-                if wtp_j_a > cost >= wtp_i_a:  # high prior alone acquires after alpha
-                    mirrored.append(Signal(ALPHA, BETA))
-                if wtp_i_b > cost >= wtp_j_b:  # low prior alone acquires after beta
-                    mirrored.append(Signal(BETA, ALPHA))
-                for signal in mirrored:
-                    outcome = outcomes[signal]
-                    if check == "ordered_gap_contraction":
-                        if not info.theta2 > info.theta1:
-                            continue
-                        low, high = outcome.realized_posteriors
-                        growth = (high - low) - (p_j - p_i)
-                        if growth > tol:
-                            violations.append(
-                                Violation(
-                                    check,
-                                    params + (("signal", signal.label()),),
-                                    f"ordered gap grew by {growth}",
-                                )
-                            )
-                    elif outcome.divergence < -tol:
-                        violations.append(
-                            Violation(
-                                check,
-                                params + (("signal", signal.label()),),
-                                f"absolute gap widened: divergence={outcome.divergence}",
-                            )
-                        )
-
-
-def _check_single(check, keep, info, payoffs, cost, boundary_eps, wtp_offset, violations):
-    base = (("theta1", info.theta1), ("theta2", info.theta2), ("cost", cost))
-    theta_up = info.theta2 > info.theta1
-    theta_down = info.theta2 < info.theta1
-    sets = extreme_sets(info)
-    for p in keep:
-        params = base + (("p", p),)
-        wtp_a = willingness_to_pay(p, info, payoffs, ALPHA) + wtp_offset
-        wtp_b = willingness_to_pay(p, info, payoffs, BETA) + wtp_offset
-        if check == "disconfirmation":
-            report = disconfirmation_report(p, info, payoffs, cost)
-            char_tendency = p != 0.5 and not sets.is_extreme(p)
-            if p > 0.5:
-                char_exhibits = wtp_b > cost > wtp_a
-            elif p < 0.5:
-                char_exhibits = wtp_a > cost > wtp_b
-            else:
-                char_exhibits = False
-            if report.tendency != char_tendency:
-                violations.append(
-                    Violation(
-                        check,
-                        params,
-                        f"tendency={report.tendency} vs characterization={char_tendency}",
-                    )
-                )
-            if report.exhibits != char_exhibits:
-                violations.append(
-                    Violation(
-                        check,
-                        params,
-                        f"exhibits={report.exhibits} vs characterization={char_exhibits}",
-                    )
-                )
-            continue
-        for signal in ALL_SIGNALS:
-            wtp_first = wtp_a if signal.first is ALPHA else wtp_b
-            skips = cost > wtp_first
-            sig_params = params + (("signal", signal.label()),)
-            if check == "confirmation":
-                if abs(p - 0.5) <= boundary_eps:
-                    break  # no favored state; the definition does not apply
-                report = confirmation_report(p, info, payoffs, cost, signal)
-                contrary_pattern = (
-                    Signal(ALPHA, BETA) if p > 0.5 else Signal(BETA, ALPHA)
-                )
-                supportive_pattern = (
-                    Signal(BETA, ALPHA) if p > 0.5 else Signal(ALPHA, BETA)
-                )
-                char_cb = theta_up and skips and signal == contrary_pattern
-                char_db = theta_up and skips and signal == supportive_pattern
-                if report.confirmatory != char_cb or report.disproving != char_db:
-                    violations.append(
-                        Violation(
-                            check,
-                            sig_params,
-                            f"(CB, DB)=({report.confirmatory}, {report.disproving}) "
-                            f"vs characterization ({char_cb}, {char_db})",
-                        )
-                    )
-            else:  # reaction
-                report = reaction_report(p, info, payoffs, cost, signal)
-                char_ur = skips and signal.first is signal.second
-                char_or = skips and signal.first is not signal.second and theta_down
-                if report.underreaction != char_ur or report.overreaction != char_or:
-                    violations.append(
-                        Violation(
-                            check,
-                            sig_params,
-                            f"(UR, OR)=({report.underreaction}, {report.overreaction}) "
-                            f"vs characterization ({char_ur}, {char_or})",
-                        )
-                    )

@@ -39,6 +39,9 @@ from .model import (
     check_probability,
 )
 
+#: Two willingness values this close count as equal in :func:`reciprocity_report`.
+RECIPROCITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ProbabilityInterval:
@@ -286,13 +289,12 @@ def reciprocity_report(
     p_j: float,
     info: InformationStructure,
     payoffs: PayoffStructure,
-    tol: float = 1e-9,
 ) -> ReciprocityReport:
     """Check whether two distinct priors share admissible costs for some component.
 
     Reciprocity for a component requires both priors to be non-extreme for it
-    and their willingness to pay there to coincide (within ``tol``); it can
-    hold for at most one of the two components.
+    and their willingness to pay there to coincide (within
+    :data:`RECIPROCITY_TOL`); it can hold for at most one of the two components.
     """
     p_i = check_probability(p_i, "p_i")
     p_j = check_probability(p_j, "p_j")
@@ -308,8 +310,8 @@ def reciprocity_report(
     )
     ne_a = h_set(0.0, info, payoffs, ALPHA)
     ne_b = h_set(0.0, info, payoffs, BETA)
-    rec_a = p_i in ne_a and p_j in ne_a and abs(wtp_a[0] - wtp_a[1]) <= tol
-    rec_b = p_i in ne_b and p_j in ne_b and abs(wtp_b[0] - wtp_b[1]) <= tol
+    rec_a = p_i in ne_a and p_j in ne_a and abs(wtp_a[0] - wtp_a[1]) <= RECIPROCITY_TOL
+    rec_b = p_i in ne_b and p_j in ne_b and abs(wtp_b[0] - wtp_b[1]) <= RECIPROCITY_TOL
     return ReciprocityReport(
         wtp_alpha=wtp_a,
         wtp_beta=wtp_b,

@@ -143,6 +143,25 @@ def test_verify_small_grid_passes(capsys):
     assert "verification passed" in out
 
 
+def test_verify_simulation_counts_crossing_routes(capsys):
+    # this pair polarizes only by crossing: the in-order closed form gives 0,
+    # all routes give 1/4, and the simulation draws all routes
+    code, out, _ = run_cli(
+        capsys, "verify", "--grid", "11", "--priors", "0.125,0.2",
+        "--cost", "0.05", "--subjective-p", "0.5",
+    )
+    assert code == 0
+    assert "vs analytic 0.250000 -> ok" in out
+
+
+def test_verify_passes_at_equal_precisions(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--grid", "21", "--theta1", "0.7", "--theta2", "0.7"
+    )
+    assert code == 0
+    assert "verification passed" in out
+
+
 def test_config_file_and_output_file(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("theta1 = 0.55\ntheta2 = 0.9\ngrid = 7\n", encoding="utf-8")

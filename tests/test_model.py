@@ -19,6 +19,7 @@ from secondlook import (
     posterior_after_first,
     sample_signal_batch,
 )
+from secondlook.model import check_probability
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 thetas = st.floats(min_value=0.501, max_value=0.999)
@@ -42,6 +43,14 @@ def test_degenerate_priors_absorb(info):
         for s2 in (ALPHA, BETA):
             assert posterior_after_both(1.0, info, s1, s2) == 1.0
             assert posterior_after_both(0.0, info, s1, s2) == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.55, 0.6, 0.7, 0.8, 0.9, 0.95])
+def test_opposing_components_at_equal_precisions_leave_the_prior(theta):
+    info = InformationStructure(theta, theta)
+    for p in (1e-7, 0.3, 0.5, 0.9, 1.0 - 1e-7):
+        assert posterior_after_both(p, info, ALPHA, BETA) == p
+        assert posterior_after_both(p, info, BETA, ALPHA) == p
 
 
 def test_posterior_after_both_reference_values(info):
@@ -68,7 +77,7 @@ def test_conditional_second_values(info):
     assert conditional_second(1.0, info, ALPHA) == pytest.approx(0.8, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), True, False])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), True, False, "0.3"])
 def test_invalid_probabilities_rejected(info, bad):
     with pytest.raises(InvalidProbabilityError):
         posterior_after_first(bad, info, ALPHA)
@@ -78,6 +87,11 @@ def test_invalid_probabilities_rejected(info, bad):
         marginal_first(bad, info, ALPHA)
     with pytest.raises(InvalidProbabilityError):
         conditional_second(bad, info, BETA)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.3), np.float32(0.25), np.int64(1)])
+def test_numpy_scalar_probabilities_accepted(value):
+    assert check_probability(value) == float(value)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 0.3, 1.2, float("nan")])

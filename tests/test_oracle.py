@@ -166,12 +166,26 @@ def test_grid_checks_clean_on_small_grid(check):
     assert violations == []
 
 
-def test_grid_checker_catches_perturbed_willingness():
-    violations = grid_theorem_check(
-        "polarization", priors=SMALL_GRID, wtp_offset=0.01
+# Where each dual-path check reads the willingness to pay of its
+# characterization side: polarization through ``polarization_feasible``
+# (``classify_pair`` in ``sets``), the single-prior checks directly.
+PERTURBED_MODULE = {
+    "polarization": "secondlook.sets",
+    "disconfirmation": "secondlook.oracle",
+    "confirmation": "secondlook.oracle",
+    "reaction": "secondlook.oracle",
+}
+
+
+@pytest.mark.parametrize("check", sorted(PERTURBED_MODULE))
+@pytest.mark.parametrize("offset", [0.0, 0.01])
+def test_grid_checker_catches_perturbed_willingness(monkeypatch, check, offset):
+    monkeypatch.setattr(
+        f"{PERTURBED_MODULE[check]}.willingness_to_pay",
+        lambda *args: willingness_to_pay(*args) + offset,
     )
-    assert len(violations) > 0
-    assert "feasible" in violations[0].detail
+    violations = grid_theorem_check(check, priors=SMALL_GRID)
+    assert (len(violations) > 0) == (offset != 0.0)
 
 
 def test_mirrored_no_divergence_diagnostic_reports_crossings():
@@ -190,8 +204,7 @@ def test_grid_check_unknown_id():
 
 
 def test_violation_rendering():
-    violations = grid_theorem_check(
-        "polarization", priors=SMALL_GRID, wtp_offset=0.01
-    )
+    violations = grid_theorem_check("mirrored_no_divergence", priors=SMALL_GRID)
     text = str(violations[0])
-    assert "polarization" in text and "theta1" in text
+    assert text.startswith("[mirrored_no_divergence] theta1=")
+    assert "p_i=" in text and "divergence=" in text
