@@ -12,7 +12,10 @@ precision, and cost grids and compare them against independently coded
 characterizations (conditions on the signal realization, the cost, and the
 relative precisions).  Grid points within a small band of a case boundary,
 an inversion threshold, or an exact cost tie are skipped: there the floating
-point sign of a strict inequality is not meaningful.
+point sign of a strict inequality is not meaningful.  The two claims over
+all O(n^2) prior pairs, ``polarization`` and ``one_sided_updating``, replay
+the array twins in :mod:`secondlook.kernel`, which agree bit for bit with
+the scalar predicates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ParameterError, UnknownPatternError
+from . import kernel
+from .errors import OrderingError, ParameterError, UnknownPatternError
 from .incentives import case_thresholds, willingness_to_pay
 from .model import (
     ALL_SIGNALS,
@@ -34,6 +38,7 @@ from .model import (
     Signal,
     SignalComponentValue,
     StateOfWorld,
+    check_cost,
     check_probability,
     conditional_second,
     marginal_first,
@@ -44,7 +49,6 @@ from .patterns import (
     confirmation_report,
     disconfirmation_report,
     pairwise_outcome,
-    polarization_feasible,
     reaction_report,
 )
 from .sets import extreme_sets, inversion_thresholds
@@ -356,28 +360,51 @@ def _wtp_by_first(
 # theta2 and cost to the params.
 
 
-def _polarization(keep, info, payoffs, cost):
-    for p_i, p_j in combinations(keep, 2):
-        feasible = polarization_feasible(p_i, p_j, info, payoffs, cost).feasible
-        realized = any(
-            pairwise_outcome(p_i, p_j, info, payoffs, cost, signal).polarized
-            for signal in ALL_SIGNALS
+def _pair_beliefs(keep, info, payoffs, cost):
+    # The per-prior arrays of one slice, each computed once: the willingness
+    # stack and the realized belief and acquisition at each signal of
+    # ALL_SIGNALS; with the pair indices in ``combinations(keep, 2)`` order.
+    p = np.array(keep)
+    descents = np.flatnonzero(np.diff(p) < 0.0)
+    if descents.size:
+        k = descents[0]
+        raise OrderingError(
+            f"pairwise checks need priors in increasing order, got {p[k]} before {p[k + 1]}"
         )
-        if feasible != realized:
-            yield (("p_i", p_i), ("p_j", p_j)), (
-                f"feasible={feasible} but realized={realized}"
-            )
+    wtp = kernel.willingness_by_first(p, info, payoffs)
+    realized = [
+        kernel.realized_posterior(p, wtp, info, cost, signal) for signal in ALL_SIGNALS
+    ]
+    i, j = np.triu_indices(len(p), k=1)
+    return p, wtp, realized, i, j
+
+
+def _polarization(keep, info, payoffs, cost):
+    p, wtp, realized, i, j = _pair_beliefs(keep, info, payoffs, cost)
+    polarized = np.zeros(len(i), dtype=bool)
+    for post, _ in realized:
+        polarized |= kernel.pairwise_outcome(p[i], p[j], post[i], post[j])[2]
+    feasible = kernel.polarization_feasible(p[i], p[j], wtp[:, i], wtp[:, j], info, cost)
+    for k in np.flatnonzero(feasible != polarized):
+        yield (("p_i", keep[i[k]]), ("p_j", keep[j[k]])), (
+            f"feasible={bool(feasible[k])} but realized={bool(polarized[k])}"
+        )
 
 
 def _one_sided_updating(keep, info, payoffs, cost):
-    for p_i, p_j in combinations(keep, 2):
-        for signal in ALL_SIGNALS:
-            outcome = pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
-            same = outcome.acquisitions[0] is outcome.acquisitions[1]
-            if same and outcome.inversion < -SIGN_TOL:
-                yield (("p_i", p_i), ("p_j", p_j), ("signal", signal.label())), (
-                    f"same action but inversion={outcome.inversion}"
-                )
+    p, _, realized, i, j = _pair_beliefs(keep, info, payoffs, cost)
+    inversions, opposite = [], []
+    for post, acquires in realized:
+        inversion = kernel.pairwise_outcome(p[i], p[j], post[i], post[j])[1]
+        inversions.append(inversion)
+        opposite.append((acquires[i] == acquires[j]) & (inversion < -SIGN_TOL))
+    # Row-major over (pair, signal): pairs in order, signals in ALL_SIGNALS order.
+    for k, s in zip(*np.nonzero(np.column_stack(opposite))):
+        yield (
+            ("p_i", keep[i[k]]),
+            ("p_j", keep[j[k]]),
+            ("signal", ALL_SIGNALS[s].label()),
+        ), f"same action but inversion={float(inversions[s][k])}"
 
 
 def _mirrored(keep, info, payoffs, cost):
@@ -519,7 +546,10 @@ def grid_theorem_check(
         the same way while the gap widens (no polarization).  Available as
         a diagnostic; not part of :data:`ALL_CHECKS`.
 
-    Returns an empty list when the claim holds everywhere on the grid.
+    Returns an empty list when the claim holds everywhere on the grid.  An
+    invalid prior raises :class:`InvalidProbabilityError` and an invalid cost
+    :class:`ParameterError`, both on entry; the pairwise claims raise
+    :class:`OrderingError` for priors out of increasing order.
     """
     if check not in ALL_CHECKS + EXTRA_CHECKS:
         raise ParameterError(
@@ -528,6 +558,9 @@ def grid_theorem_check(
     claim = _CLAIMS[check]
     if priors is None:
         priors = default_prior_grid()
+    # Validated once, here; the claims then see plain floats.
+    priors = [check_probability(p, "prior") for p in priors]
+    costs = [check_cost(c) for c in costs]
     if payoffs is None:
         payoffs = PayoffStructure(1.0, 0.0)
     violations: list[Violation] = []

@@ -271,18 +271,20 @@ def polarization_partners(
     p_i = check_probability(p_i, "p_i")
     if not 0.0 < p_i < 1.0:
         raise ParameterError(f"partner analysis needs an interior prior, got {p_i}")
-    ceiling = max_willingness_to_pay(info, payoffs)
-    if not 0.0 < c < ceiling:
+    h_alpha = h_set(c, info, payoffs, ALPHA)
+    h_beta = h_set(c, info, payoffs, BETA)
+    # H(c) holds no prior from the maximum on, and also just below it, where
+    # its thresholds meet at the peak to within round-off.
+    if not (c > 0.0 and h_alpha.length > 0.0 and h_beta.length > 0.0):
         raise ParameterError(
-            f"cost must lie strictly between 0 and the maximum {ceiling}, got {c}"
+            "cost must lie strictly between 0 and the maximum "
+            f"{max_willingness_to_pay(info, payoffs)}, got {c}"
         )
     if not info.theta2 > info.theta1:
         raise ParameterError(
             "partners exist only when the second component is strictly more "
             f"informative (theta1={info.theta1}, theta2={info.theta2})"
         )
-    h_alpha = h_set(c, info, payoffs, ALPHA)
-    h_beta = h_set(c, info, payoffs, BETA)
     partners: list[ProbabilityInterval] = []
     # Alpha-side analysis: the low prior must acquire after alpha, the high
     # one must not.

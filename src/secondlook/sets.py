@@ -116,7 +116,12 @@ def inversion_thresholds(
     else:
         lower = t1 * (c + du * (1.0 - t2)) / den_pos
         upper = t1 * (c - du * t2) / den_neg
-    return lower, upper
+    if lower > upper:
+        # Crossed by round-off where they meet: at the peak prior, exactly.
+        peak = 1.0 - t1 if s1 is ALPHA else t1
+        return peak, peak
+    # Round-off can also lift the upper one above 1 when theta1 is next to 1.
+    return lower, min(upper, 1.0)
 
 
 def h_set(

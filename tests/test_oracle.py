@@ -6,7 +6,9 @@ from secondlook import (
     ALPHA,
     EXTRA_CHECKS,
     InformationStructure,
+    InvalidProbabilityError,
     MonteCarloEstimate,
+    OrderingError,
     ParameterError,
     UnknownPatternError,
     brute_force_voi,
@@ -19,6 +21,7 @@ from secondlook import (
     polarization_probability,
     willingness_to_pay,
 )
+from secondlook import kernel
 
 SMALL_GRID = default_prior_grid(21)
 
@@ -166,24 +169,33 @@ def test_grid_checks_clean_on_small_grid(check):
     assert violations == []
 
 
-# Where each dual-path check reads the willingness to pay of its
-# characterization side: polarization through ``polarization_feasible``
-# (``classify_pair`` in ``sets``), the single-prior checks directly.
-PERTURBED_MODULE = {
-    "polarization": "secondlook.sets",
-    "disconfirmation": "secondlook.oracle",
-    "confirmation": "secondlook.oracle",
-    "reaction": "secondlook.oracle",
-}
+# Each dual-path check is perturbed on its characterization side only.  The
+# single-prior checks read the willingness to pay in ``oracle`` directly;
+# polarization reads it in the array kernel, where the realized beliefs read
+# it too, so the test shifts only the arrays ``polarization_feasible`` gets.
+def _perturb_characterization(monkeypatch, check, offset):
+    if check == "polarization":
+        feasible = kernel.polarization_feasible
+        monkeypatch.setattr(
+            kernel,
+            "polarization_feasible",
+            lambda p_i, p_j, wtp_i, wtp_j, *rest: feasible(
+                p_i, p_j, wtp_i + offset, wtp_j + offset, *rest
+            ),
+        )
+    else:
+        monkeypatch.setattr(
+            "secondlook.oracle.willingness_to_pay",
+            lambda *args: willingness_to_pay(*args) + offset,
+        )
 
 
-@pytest.mark.parametrize("check", sorted(PERTURBED_MODULE))
+@pytest.mark.parametrize(
+    "check", ["confirmation", "disconfirmation", "polarization", "reaction"]
+)
 @pytest.mark.parametrize("offset", [0.0, 0.01])
 def test_grid_checker_catches_perturbed_willingness(monkeypatch, check, offset):
-    monkeypatch.setattr(
-        f"{PERTURBED_MODULE[check]}.willingness_to_pay",
-        lambda *args: willingness_to_pay(*args) + offset,
-    )
+    _perturb_characterization(monkeypatch, check, offset)
     violations = grid_theorem_check(check, priors=SMALL_GRID)
     assert (len(violations) > 0) == (offset != 0.0)
 
@@ -195,6 +207,29 @@ def test_mirrored_no_divergence_diagnostic_reports_crossings():
     assert len(violations) > 0
     params = dict(violations[0].params)
     assert "p_i" in params and "p_j" in params
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS + EXTRA_CHECKS)
+@pytest.mark.parametrize("bad", ["0.5", float("nan"), True, 1.5], ids=repr)
+def test_grid_checks_validate_priors_at_entry(check, bad):
+    with pytest.raises(InvalidProbabilityError):
+        grid_theorem_check(check, priors=[0.2, bad, 0.7])
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS + EXTRA_CHECKS)
+def test_grid_checks_take_a_float_list_like_the_grid(check):
+    from_list = grid_theorem_check(check, priors=SMALL_GRID.tolist())
+    from_grid = grid_theorem_check(check, priors=SMALL_GRID)
+    assert from_list == from_grid
+    assert [str(v) for v in from_list] == [str(v) for v in from_grid]
+
+
+@pytest.mark.parametrize("check", ["polarization", "one_sided_updating"])
+def test_array_claims_reject_what_the_scalar_api_rejects(check):
+    with pytest.raises(ParameterError):
+        grid_theorem_check(check, priors=SMALL_GRID, costs=[float("nan")])
+    with pytest.raises(OrderingError):
+        grid_theorem_check(check, priors=[0.2, 0.7, 0.4])
 
 
 def test_grid_check_unknown_id():

@@ -67,6 +67,24 @@ def test_h_set_zero_cost_limit_is_non_extreme_interval(info, payoffs):
     assert beta.upper == pytest.approx(6 / 7, abs=1e-12)
 
 
+def test_extreme_sets_at_a_precision_an_ulp_above_half():
+    # The beta thresholds meet at the peak prior theta1 and used to cross by
+    # round-off, so building the interval raised.
+    sets = extreme_sets(InformationStructure(0.75, 0.5000000000000001))
+    assert sets.non_extreme_beta.lower == sets.non_extreme_beta.upper == 0.75
+    assert not sets.is_extreme(0.25) and sets.is_extreme(0.75)
+
+
+@given(
+    t1=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    t2=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_extreme_sets_exist_for_every_precision(t1, t2):
+    sets = extreme_sets(InformationStructure(t1, t2))
+    for interval in sets.non_extreme + sets.extreme:
+        assert 0.0 <= interval.lower <= interval.upper <= 1.0
+
+
 def test_inversion_thresholds_invert_the_cost_function():
     rng = np.random.default_rng(11)
     for info, payoffs in _random_structures(rng, 100):
