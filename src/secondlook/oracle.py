@@ -12,10 +12,7 @@ precision, and cost grids and compare them against independently coded
 characterizations (conditions on the signal realization, the cost, and the
 relative precisions).  Grid points within a small band of a case boundary,
 an inversion threshold, or an exact cost tie are skipped: there the floating
-point sign of a strict inequality is not meaningful.  The two claims over
-all O(n^2) prior pairs, ``polarization`` and ``one_sided_updating``, replay
-the array twins in :mod:`secondlook.kernel`, which agree bit for bit with
-the scalar predicates.
+point sign of a strict inequality is not meaningful.
 """
 
 from __future__ import annotations
@@ -26,9 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import kernel
 from .errors import OrderingError, ParameterError, UnknownPatternError
-from .incentives import case_thresholds, willingness_to_pay
+from .incentives import AcquisitionAction, case_thresholds, willingness_to_pay
 from .model import (
     ALL_SIGNALS,
     ALPHA,
@@ -42,6 +38,7 @@ from .model import (
     check_probability,
     conditional_second,
     marginal_first,
+    posterior_after_both,
     posterior_after_first,
     sample_signal_batch,
 )
@@ -50,6 +47,7 @@ from .patterns import (
     disconfirmation_report,
     pairwise_outcome,
     reaction_report,
+    realized_posterior,
 )
 from .sets import extreme_sets, inversion_thresholds
 
@@ -355,63 +353,114 @@ def _wtp_by_first(
     return {s1: willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)}
 
 
-# Each claim below walks one (theta, cost) slice of kept priors and yields
-# ``(params, detail)`` per violation; ``grid_theorem_check`` prefixes theta1,
-# theta2 and cost to the params.
+# Each claim below walks one (theta, cost) slice of kept priors, each with its
+# willingness to pay by first component, and yields ``(params, detail)`` per
+# violation; ``grid_theorem_check`` prefixes theta1, theta2 and cost to the
+# params.
+#
+# ``polarization`` and ``one_sided_updating`` compare all O(n^2) pairs.  They
+# take each prior's values from the scalar API once per slice, then compare
+# one low prior against all higher ones at a time on numpy arrays: rows of
+# the pair triangle, in ``combinations`` order, in O(n) memory.  Only the
+# pair-level expressions of ``pairwise_outcome`` and ``polarization_feasible``
+# are restated here, in the same operation order, so they agree bit for bit
+# (numpy's float64 arithmetic rounds as Python's does).
 
 
-def _pair_beliefs(keep, info, payoffs, cost):
-    # The per-prior arrays of one slice, each computed once: the willingness
-    # stack and the realized belief and acquisition at each signal of
-    # ALL_SIGNALS; with the pair indices in ``combinations(keep, 2)`` order.
-    p = np.array(keep)
-    descents = np.flatnonzero(np.diff(p) < 0.0)
-    if descents.size:
-        k = descents[0]
+def _pair_rows(keep, info, payoffs, cost, strict):
+    # Yields (a, low, high): the index of the low prior, and the values of
+    # that prior and of all priors after it, priors along the last axis:
+    # prior, willingness (alpha, beta), the realized belief and acquisition at
+    # each signal of ALL_SIGNALS, and the crossing beliefs (see _feasible_pairs).
+    p = np.array([prior for prior, _ in keep])
+    steps = np.diff(p)
+    backward = np.flatnonzero(steps <= 0.0 if strict else steps < 0.0)
+    if backward.size:
+        k = backward[0]
         raise OrderingError(
             f"pairwise checks need priors in increasing order, got {p[k]} before {p[k + 1]}"
         )
-    wtp = kernel.willingness_by_first(p, info, payoffs)
+    wtp = np.array([[w[ALPHA] for _, w in keep], [w[BETA] for _, w in keep]])
     realized = [
-        kernel.realized_posterior(p, wtp, info, cost, signal) for signal in ALL_SIGNALS
+        [realized_posterior(prior, info, payoffs, cost, signal) for signal in ALL_SIGNALS]
+        for prior, _ in keep
     ]
-    i, j = np.triu_indices(len(p), k=1)
-    return p, wtp, realized, i, j
+    belief = np.array([[post for post, _ in row] for row in realized]).T
+    acquires = np.array([[a is AcquisitionAction.ACQUIRE for _, a in row] for row in realized]).T
+    crossing = np.array(
+        [
+            [
+                posterior_after_first(prior, info, ALPHA),
+                posterior_after_both(prior, info, ALPHA, BETA),
+                posterior_after_both(prior, info, BETA, ALPHA),
+                posterior_after_first(prior, info, BETA),
+            ]
+            for prior, _ in keep
+        ]
+    ).T
+    arrays = (p, wtp, belief, acquires, crossing)
+    for a in range(len(p) - 1):
+        yield a, [x[..., a : a + 1] for x in arrays], [x[..., a + 1 :] for x in arrays]
+
+
+def _pair_outcome(p_i, p_j, post_i, post_j):
+    # Divergence, inversion and polarized, as in pairwise_outcome.
+    divergence = np.abs(p_i - p_j) - np.abs(post_i - post_j)
+    inversion = (p_i - post_i) * (p_j - post_j)
+    return divergence, inversion, (divergence < 0.0) & (inversion < 0.0)
+
+
+def _feasible_pairs(p_i, p_j, wtp_i, wtp_j, crossing_i, crossing_j, info, cost):
+    # polarization_feasible(p_i, p_j, info, payoffs, cost).feasible for pairs
+    # p_i < p_j.  ``crossing`` holds each prior's interim and full belief at
+    # (alpha, beta), then its full and interim belief at (beta, alpha).
+    if not info.theta2 > info.theta1:
+        return np.zeros(np.broadcast(p_i, p_j).shape, dtype=bool)
+    (alpha_i, beta_i), (alpha_j, beta_j) = wtp_i, wtp_j
+    # The B-set memberships of classify_pair: one prior acquires, the other not.
+    low_alpha = (alpha_i > cost) & (cost >= alpha_j)
+    high_beta = (beta_j > cost) & (cost >= beta_i)
+    high_alpha = (alpha_j > cost) & (cost >= alpha_i)
+    low_beta = (beta_i > cost) & (cost >= beta_j)
+    interim_alpha_i, _, full_beta_i, _ = crossing_i
+    _, full_alpha_j, _, interim_beta_j = crossing_j
+    gap = p_j - p_i
+    swap_gap_alpha = (interim_alpha_i - full_alpha_j) - gap
+    swap_gap_beta = (full_beta_i - interim_beta_j) - gap
+    via_alpha_swap = high_alpha & (p_i > 0.0) & (swap_gap_alpha > 0.0)
+    via_beta_swap = low_beta & (p_j < 1.0) & (swap_gap_beta > 0.0)
+    return low_alpha | high_beta | via_alpha_swap | via_beta_swap
 
 
 def _polarization(keep, info, payoffs, cost):
-    p, wtp, realized, i, j = _pair_beliefs(keep, info, payoffs, cost)
-    polarized = np.zeros(len(i), dtype=bool)
-    for post, _ in realized:
-        polarized |= kernel.pairwise_outcome(p[i], p[j], post[i], post[j])[2]
-    feasible = kernel.polarization_feasible(p[i], p[j], wtp[:, i], wtp[:, j], info, cost)
-    for k in np.flatnonzero(feasible != polarized):
-        yield (("p_i", keep[i[k]]), ("p_j", keep[j[k]])), (
-            f"feasible={bool(feasible[k])} but realized={bool(polarized[k])}"
-        )
+    rows = _pair_rows(keep, info, payoffs, cost, strict=True)
+    for a, (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) in rows:
+        polarized = _pair_outcome(p_i, p_j, post_i, post_j)[2].any(axis=0)
+        feasible = _feasible_pairs(p_i, p_j, wtp_i, wtp_j, cross_i, cross_j, info, cost)
+        for k in np.flatnonzero(feasible != polarized):
+            yield (("p_i", keep[a][0]), ("p_j", keep[a + 1 + k][0])), (
+                f"feasible={bool(feasible[k])} but realized={bool(polarized[k])}"
+            )
 
 
 def _one_sided_updating(keep, info, payoffs, cost):
-    p, _, realized, i, j = _pair_beliefs(keep, info, payoffs, cost)
-    inversions, opposite = [], []
-    for post, acquires in realized:
-        inversion = kernel.pairwise_outcome(p[i], p[j], post[i], post[j])[1]
-        inversions.append(inversion)
-        opposite.append((acquires[i] == acquires[j]) & (inversion < -SIGN_TOL))
-    # Row-major over (pair, signal): pairs in order, signals in ALL_SIGNALS order.
-    for k, s in zip(*np.nonzero(np.column_stack(opposite))):
-        yield (
-            ("p_i", keep[i[k]]),
-            ("p_j", keep[j[k]]),
-            ("signal", ALL_SIGNALS[s].label()),
-        ), f"same action but inversion={float(inversions[s][k])}"
+    rows = _pair_rows(keep, info, payoffs, cost, strict=False)
+    for a, (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) in rows:
+        inversion = _pair_outcome(p_i, p_j, post_i, post_j)[1]
+        opposite = (acq_i == acq_j) & (inversion < -SIGN_TOL)
+        # Transposed to (pair, signal): pairs in order, signals in ALL_SIGNALS order.
+        for k, s in zip(*np.nonzero(opposite.T)):
+            yield (
+                ("p_i", keep[a][0]),
+                ("p_j", keep[a + 1 + k][0]),
+                ("signal", ALL_SIGNALS[s].label()),
+            ), f"same action but inversion={float(inversion[s, k])}"
 
 
 def _mirrored(keep, info, payoffs, cost):
     # Pairs with a mirrored acquisition asymmetry, each with the
     # opposing-components signal at which it shows.
-    wtps = [(p, _wtp_by_first(p, info, payoffs)) for p in keep]
-    for (p_i, wtp_i), (p_j, wtp_j) in combinations(wtps, 2):
+    for (p_i, wtp_i), (p_j, wtp_j) in combinations(keep, 2):
         if wtp_j[ALPHA] > cost >= wtp_i[ALPHA]:  # high prior alone acquires after alpha
             yield p_i, p_j, Signal(ALPHA, BETA)
         if wtp_i[BETA] > cost >= wtp_j[BETA]:  # low prior alone acquires after beta
@@ -442,9 +491,8 @@ def _mirrored_no_divergence(keep, info, payoffs, cost):
 
 def _disconfirmation(keep, info, payoffs, cost):
     sets = extreme_sets(info)
-    for p in keep:
+    for p, wtp in keep:
         report = disconfirmation_report(p, info, payoffs, cost)
-        wtp = _wtp_by_first(p, info, payoffs)
         char_tendency = p != 0.5 and not sets.is_extreme(p)
         # Exhibits: acquires after the component contradicting the favored
         # state and skips after the supporting one.
@@ -462,10 +510,9 @@ def _disconfirmation(keep, info, payoffs, cost):
 
 def _confirmation(keep, info, payoffs, cost):
     theta_up = info.theta2 > info.theta1
-    for p in keep:
+    for p, wtp in keep:
         if abs(p - 0.5) <= BOUNDARY_EPS:
             continue  # no favored state; the definition does not apply
-        wtp = _wtp_by_first(p, info, payoffs)
         contrary_pattern = Signal(ALPHA, BETA) if p > 0.5 else Signal(BETA, ALPHA)
         supportive_pattern = Signal(BETA, ALPHA) if p > 0.5 else Signal(ALPHA, BETA)
         for signal in ALL_SIGNALS:
@@ -482,8 +529,7 @@ def _confirmation(keep, info, payoffs, cost):
 
 def _reaction(keep, info, payoffs, cost):
     theta_down = info.theta2 < info.theta1
-    for p in keep:
-        wtp = _wtp_by_first(p, info, payoffs)
+    for p, wtp in keep:
         for signal in ALL_SIGNALS:
             report = reaction_report(p, info, payoffs, cost, signal)
             skips = cost > wtp[signal.first]
@@ -566,13 +612,13 @@ def grid_theorem_check(
     violations: list[Violation] = []
     for theta1, theta2 in thetas:
         info = InformationStructure(theta1, theta2)
+        wtps = [(p, _wtp_by_first(p, info, payoffs)) for p in priors]
         for cost in costs:
             critical = _critical_priors(info, payoffs, cost)
             keep = [
-                p
-                for p in priors
-                if not _near(p, critical)
-                and not _near(cost, _wtp_by_first(p, info, payoffs).values())
+                (p, wtp)
+                for p, wtp in wtps
+                if not _near(p, critical) and not _near(cost, wtp.values())
             ]
             base = (("theta1", info.theta1), ("theta2", info.theta2), ("cost", cost))
             violations.extend(

@@ -3,13 +3,17 @@ import pytest
 
 from secondlook import (
     ALL_CHECKS,
+    ALL_SIGNALS,
     ALPHA,
+    BETA,
+    AcquisitionAction,
     EXTRA_CHECKS,
     InformationStructure,
     InvalidProbabilityError,
     MonteCarloEstimate,
     OrderingError,
     ParameterError,
+    PayoffStructure,
     UnknownPatternError,
     brute_force_voi,
     default_prior_grid,
@@ -17,11 +21,13 @@ from secondlook import (
     marginal_first,
     mc_pattern_frequency,
     outcome_table,
+    pairwise_outcome,
     pattern_probability,
+    polarization_feasible,
     polarization_probability,
     willingness_to_pay,
 )
-from secondlook import kernel
+from secondlook import oracle
 
 SMALL_GRID = default_prior_grid(21)
 
@@ -169,33 +175,18 @@ def test_grid_checks_clean_on_small_grid(check):
     assert violations == []
 
 
-# Each dual-path check is perturbed on its characterization side only.  The
-# single-prior checks read the willingness to pay in ``oracle`` directly;
-# polarization reads it in the array kernel, where the realized beliefs read
-# it too, so the test shifts only the arrays ``polarization_feasible`` gets.
-def _perturb_characterization(monkeypatch, check, offset):
-    if check == "polarization":
-        feasible = kernel.polarization_feasible
-        monkeypatch.setattr(
-            kernel,
-            "polarization_feasible",
-            lambda p_i, p_j, wtp_i, wtp_j, *rest: feasible(
-                p_i, p_j, wtp_i + offset, wtp_j + offset, *rest
-            ),
-        )
-    else:
-        monkeypatch.setattr(
-            "secondlook.oracle.willingness_to_pay",
-            lambda *args: willingness_to_pay(*args) + offset,
-        )
-
-
+# Each dual-path check reads the willingness to pay of its characterization
+# side in ``oracle``: polarization in its feasibility arrays, the single-prior
+# checks directly.  The definition side reads it through ``patterns``.
 @pytest.mark.parametrize(
     "check", ["confirmation", "disconfirmation", "polarization", "reaction"]
 )
 @pytest.mark.parametrize("offset", [0.0, 0.01])
 def test_grid_checker_catches_perturbed_willingness(monkeypatch, check, offset):
-    _perturb_characterization(monkeypatch, check, offset)
+    monkeypatch.setattr(
+        "secondlook.oracle.willingness_to_pay",
+        lambda *args: willingness_to_pay(*args) + offset,
+    )
     violations = grid_theorem_check(check, priors=SMALL_GRID)
     assert (len(violations) > 0) == (offset != 0.0)
 
@@ -230,6 +221,59 @@ def test_array_claims_reject_what_the_scalar_api_rejects(check):
         grid_theorem_check(check, priors=SMALL_GRID, costs=[float("nan")])
     with pytest.raises(OrderingError):
         grid_theorem_check(check, priors=[0.2, 0.7, 0.4])
+
+
+def test_only_polarization_rejects_repeated_priors():
+    # as polarization_feasible needs p_i < p_j and pairwise_outcome p_i <= p_j
+    with pytest.raises(OrderingError):
+        grid_theorem_check("polarization", priors=[0.2, 0.2, 0.7])
+    assert grid_theorem_check("one_sided_updating", priors=[0.2, 0.2, 0.7]) == []
+
+
+AGREEMENT_THETAS = [
+    (0.6, 0.8), (0.55, 0.9), (0.8, 0.6), (0.7, 0.7), (0.52, 0.98), (0.9, 0.55)
+]
+AGREEMENT_COSTS = [0.0, 0.01, 0.05, 0.1, 0.15, 0.25, 0.3]
+
+
+@pytest.mark.parametrize(
+    "payoffs", [PayoffStructure(1.0, 0.0), PayoffStructure(2.0, 0.5)], ids=str
+)
+@pytest.mark.parametrize("theta", AGREEMENT_THETAS, ids=str)
+def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
+    # ``==``, not approx: the array expressions keep the scalar operation order.
+    info = InformationStructure(*theta)
+    grid = default_prior_grid(31).tolist()
+    keep = [
+        (p, {s1: willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)})
+        for p in grid
+    ]
+    for cost in AGREEMENT_COSTS:
+        for a, low, high in oracle._pair_rows(keep, info, payoffs, cost, strict=True):
+            p_i, wtp_i, post_i, acq_i, cross_i = low
+            p_j, wtp_j, post_j, acq_j, cross_j = high
+            outcome = oracle._pair_outcome(p_i, p_j, post_i, post_j)
+            feasible = oracle._feasible_pairs(
+                p_i, p_j, wtp_i, wtp_j, cross_i, cross_j, info, cost
+            )
+            pairs = [(grid[a], p) for p in grid[a + 1 :]]
+            assert feasible.tolist() == [
+                polarization_feasible(*pair, info, payoffs, cost).feasible
+                for pair in pairs
+            ]
+            for s, signal in enumerate(ALL_SIGNALS):
+                scalar = [
+                    pairwise_outcome(*pair, info, payoffs, cost, signal) for pair in pairs
+                ]
+                assert [x[s].tolist() for x in outcome] == [
+                    [o.divergence for o in scalar],
+                    [o.inversion for o in scalar],
+                    [o.polarized for o in scalar],
+                ]
+                assert [(bool(acq_i[s, 0]), bool(acq)) for acq in acq_j[s]] == [
+                    tuple(act is AcquisitionAction.ACQUIRE for act in o.acquisitions)
+                    for o in scalar
+                ]
 
 
 def test_grid_check_unknown_id():
