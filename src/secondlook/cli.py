@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 from dataclasses import fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -66,7 +67,7 @@ from .patterns import (
     reaction_report,
     realized_posterior,
 )
-from .sets import PairClass, classify_pair, inversion_thresholds
+from .sets import PairClass, classify_pair, inversion_thresholds, pair_memberships
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -208,14 +209,17 @@ def cmd_partition(config: RunConfig, args) -> int:
 def cmd_sets(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     grid = [float(p) for p in np.linspace(0.0, 1.0, config.grid)]
+    # Each prior's willingness once per run, then one low prior against the
+    # row of all priors from it on per cost; tolist() keeps cells Python bools.
+    wtp = [tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in grid]
+    alpha, beta = np.array(wtp).T
     columns = ["p_low", "p_high", "cost"]
     columns += [f.name.removeprefix("in_") for f in fields(PairClass)]
     rows = []
     for cost in config.cost_list():
         for i, p_low in enumerate(grid):
-            for p_high in grid[i:]:
-                pair = classify_pair(p_low, p_high, cost, info, payoffs)
-                rows.append((p_low, p_high, cost, *vars(pair).values()))
+            members = pair_memberships(wtp[i], (alpha[i:], beta[i:]), cost)
+            rows.extend(zip(repeat(p_low), grid[i:], repeat(cost), *(m.tolist() for m in members)))
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
 

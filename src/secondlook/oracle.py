@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -46,10 +45,12 @@ from .patterns import (
     confirmation_report,
     disconfirmation_report,
     pairwise_outcome,
+    polarization_routes,
+    polarization_verdict,
     reaction_report,
     realized_posterior,
 )
-from .sets import extreme_sets, inversion_thresholds
+from .sets import extreme_sets, inversion_thresholds, pair_memberships
 
 PATTERN_IDS = ("PB", "CB", "DB", "UR", "OR")
 
@@ -358,20 +359,24 @@ def _wtp_by_first(
 # violation; ``grid_theorem_check`` prefixes theta1, theta2 and cost to the
 # params.
 #
-# ``polarization`` and ``one_sided_updating`` compare all O(n^2) pairs.  They
-# take each prior's values from the scalar API once per slice, then compare
-# one low prior against all higher ones at a time on numpy arrays: rows of
-# the pair triangle, in ``combinations`` order, in O(n) memory.  Only the
-# pair-level expressions of ``pairwise_outcome`` and ``polarization_feasible``
-# are restated here, in the same operation order, so they agree bit for bit
-# (numpy's float64 arithmetic rounds as Python's does).
+# The pairwise claims take each prior's values from the scalar API once per
+# slice, then compare one low prior with all higher ones at a time as numpy
+# rows of the pair triangle, in ``combinations`` order and O(n) memory.  The
+# rows go through the pair laws the scalar API applies to one pair
+# (``pair_memberships``, ``polarization_verdict``, ``polarization_routes``).
+
+
+def _wtp_rows(keep):
+    return np.array([[w[ALPHA] for _, w in keep], [w[BETA] for _, w in keep]])
 
 
 def _pair_rows(keep, info, payoffs, cost, strict):
     # Yields (a, low, high): the index of the low prior, and the values of
     # that prior and of all priors after it, priors along the last axis:
     # prior, willingness (alpha, beta), the realized belief and acquisition at
-    # each signal of ALL_SIGNALS, and the crossing beliefs (see _feasible_pairs).
+    # each signal of ALL_SIGNALS, and the interim and full belief at
+    # (alpha, beta), then the full and interim belief at (beta, alpha).  The
+    # low prior's values are numpy scalars, which compare faster than rows.
     p = np.array([prior for prior, _ in keep])
     steps = np.diff(p)
     backward = np.flatnonzero(steps <= 0.0 if strict else steps < 0.0)
@@ -380,7 +385,7 @@ def _pair_rows(keep, info, payoffs, cost, strict):
         raise OrderingError(
             f"pairwise checks need priors in increasing order, got {p[k]} before {p[k + 1]}"
         )
-    wtp = np.array([[w[ALPHA] for _, w in keep], [w[BETA] for _, w in keep]])
+    wtp = _wtp_rows(keep)
     realized = [
         [realized_posterior(prior, info, payoffs, cost, signal) for signal in ALL_SIGNALS]
         for prior, _ in keep
@@ -400,43 +405,18 @@ def _pair_rows(keep, info, payoffs, cost, strict):
     ).T
     arrays = (p, wtp, belief, acquires, crossing)
     for a in range(len(p) - 1):
-        yield a, [x[..., a : a + 1] for x in arrays], [x[..., a + 1 :] for x in arrays]
-
-
-def _pair_outcome(p_i, p_j, post_i, post_j):
-    # Divergence, inversion and polarized, as in pairwise_outcome.
-    divergence = np.abs(p_i - p_j) - np.abs(post_i - post_j)
-    inversion = (p_i - post_i) * (p_j - post_j)
-    return divergence, inversion, (divergence < 0.0) & (inversion < 0.0)
-
-
-def _feasible_pairs(p_i, p_j, wtp_i, wtp_j, crossing_i, crossing_j, info, cost):
-    # polarization_feasible(p_i, p_j, info, payoffs, cost).feasible for pairs
-    # p_i < p_j.  ``crossing`` holds each prior's interim and full belief at
-    # (alpha, beta), then its full and interim belief at (beta, alpha).
-    if not info.theta2 > info.theta1:
-        return np.zeros(np.broadcast(p_i, p_j).shape, dtype=bool)
-    (alpha_i, beta_i), (alpha_j, beta_j) = wtp_i, wtp_j
-    # The B-set memberships of classify_pair: one prior acquires, the other not.
-    low_alpha = (alpha_i > cost) & (cost >= alpha_j)
-    high_beta = (beta_j > cost) & (cost >= beta_i)
-    high_alpha = (alpha_j > cost) & (cost >= alpha_i)
-    low_beta = (beta_i > cost) & (cost >= beta_j)
-    interim_alpha_i, _, full_beta_i, _ = crossing_i
-    _, full_alpha_j, _, interim_beta_j = crossing_j
-    gap = p_j - p_i
-    swap_gap_alpha = (interim_alpha_i - full_alpha_j) - gap
-    swap_gap_beta = (full_beta_i - interim_beta_j) - gap
-    via_alpha_swap = high_alpha & (p_i > 0.0) & (swap_gap_alpha > 0.0)
-    via_beta_swap = low_beta & (p_j < 1.0) & (swap_gap_beta > 0.0)
-    return low_alpha | high_beta | via_alpha_swap | via_beta_swap
+        yield a, [x[..., a] for x in arrays], [x[..., a + 1 :] for x in arrays]
 
 
 def _polarization(keep, info, payoffs, cost):
+    more_informative = info.theta2 > info.theta1
     rows = _pair_rows(keep, info, payoffs, cost, strict=True)
     for a, (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) in rows:
-        polarized = _pair_outcome(p_i, p_j, post_i, post_j)[2].any(axis=0)
-        feasible = _feasible_pairs(p_i, p_j, wtp_i, wtp_j, cross_i, cross_j, info, cost)
+        polarized = polarization_verdict(p_i, p_j, post_i[:, None], post_j)[2].any(axis=0)
+        one_sided = pair_memberships(wtp_i, wtp_j, cost)[:4]
+        crossing = (cross_i[0], cross_j[1], cross_i[2], cross_j[3])
+        routes = polarization_routes(more_informative, p_i, p_j, one_sided, crossing)
+        feasible = routes[0] | routes[1] | routes[2] | routes[3]
         for k in np.flatnonzero(feasible != polarized):
             yield (("p_i", keep[a][0]), ("p_j", keep[a + 1 + k][0])), (
                 f"feasible={bool(feasible[k])} but realized={bool(polarized[k])}"
@@ -446,8 +426,8 @@ def _polarization(keep, info, payoffs, cost):
 def _one_sided_updating(keep, info, payoffs, cost):
     rows = _pair_rows(keep, info, payoffs, cost, strict=False)
     for a, (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) in rows:
-        inversion = _pair_outcome(p_i, p_j, post_i, post_j)[1]
-        opposite = (acq_i == acq_j) & (inversion < -SIGN_TOL)
+        inversion = polarization_verdict(p_i, p_j, post_i[:, None], post_j)[1]
+        opposite = (acq_i[:, None] == acq_j) & (inversion < -SIGN_TOL)
         # Transposed to (pair, signal): pairs in order, signals in ALL_SIGNALS order.
         for k, s in zip(*np.nonzero(opposite.T)):
             yield (
@@ -458,13 +438,18 @@ def _one_sided_updating(keep, info, payoffs, cost):
 
 
 def _mirrored(keep, info, payoffs, cost):
-    # Pairs with a mirrored acquisition asymmetry, each with the
-    # opposing-components signal at which it shows.
-    for (p_i, wtp_i), (p_j, wtp_j) in combinations(keep, 2):
-        if wtp_j[ALPHA] > cost >= wtp_i[ALPHA]:  # high prior alone acquires after alpha
-            yield p_i, p_j, Signal(ALPHA, BETA)
-        if wtp_i[BETA] > cost >= wtp_j[BETA]:  # low prior alone acquires after beta
-            yield p_i, p_j, Signal(BETA, ALPHA)
+    # Pairs where the high prior alone acquires after alpha, or the low one
+    # after beta, in ``combinations`` order, with the signal where it shows.
+    wtp = _wtp_rows(keep)
+    for a, (p_i, w) in enumerate(keep[:-1]):
+        members = pair_memberships((w[ALPHA], w[BETA]), wtp[:, a + 1 :], cost)
+        high_alpha, low_beta = members[2], members[3]
+        for k in np.flatnonzero(high_alpha | low_beta):
+            p_j = keep[a + 1 + k][0]
+            if high_alpha[k]:
+                yield p_i, p_j, Signal(ALPHA, BETA)
+            if low_beta[k]:
+                yield p_i, p_j, Signal(BETA, ALPHA)
 
 
 def _ordered_gap_contraction(keep, info, payoffs, cost):

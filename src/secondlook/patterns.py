@@ -19,10 +19,13 @@ benchmark for a single one, produces the patterns this module quantifies:
   the full-information posterior.
 
 Pairwise feasibility and probability take the asymmetric-acquisition sets
-from :mod:`secondlook.sets` as inputs.  The probability formula multiplies
-the two components' marginals at a caller-supplied subjective prior; that
-prior is deliberately never defaulted, because nothing in the model pins it
-down.
+from :mod:`secondlook.sets` as inputs.  The pair outcome and the four
+feasibility routes are each stated once, in :func:`polarization_verdict` and
+:func:`polarization_routes`, with operators that work on floats and numpy
+rows alike: the scalar API feeds them one validated pair, the grid checks of
+:mod:`secondlook.oracle` whole rows.  The probability formula multiplies the
+two components' marginals at a caller-supplied subjective prior; that prior
+is deliberately never defaulted, because nothing in the model pins it down.
 """
 
 from __future__ import annotations
@@ -94,6 +97,16 @@ class PairwiseOutcome:
     acquisitions: tuple[AcquisitionAction, AcquisitionAction]
 
 
+def polarization_verdict(p_i, p_j, post_i, post_j):
+    """Divergence, inversion and polarized, from priors and realized beliefs.
+
+    Floats give two floats and a bool; numpy rows give rows.
+    """
+    divergence = abs(p_i - p_j) - abs(post_i - post_j)
+    inversion = (p_i - post_i) * (p_j - post_j)
+    return divergence, inversion, (divergence < 0.0) & (inversion < 0.0)
+
+
 def pairwise_outcome(
     p_i: float,
     p_j: float,
@@ -109,12 +122,8 @@ def pairwise_outcome(
         raise OrderingError(f"pair priors must satisfy p_i <= p_j, got ({p_i}, {p_j})")
     post_i, act_i = realized_posterior(p_i, info, payoffs, cost, signal)
     post_j, act_j = realized_posterior(p_j, info, payoffs, cost, signal)
-    divergence = abs(p_i - p_j) - abs(post_i - post_j)
-    inversion = (p_i - post_i) * (p_j - post_j)
     return PairwiseOutcome(
-        divergence=divergence,
-        inversion=inversion,
-        polarized=divergence < 0.0 and inversion < 0.0,
+        *polarization_verdict(p_i, p_j, post_i, post_j),
         realized_posteriors=(post_i, post_j),
         acquisitions=(act_i, act_j),
     )
@@ -142,20 +151,25 @@ class PolarizationFeasibility:
         return self.feasible
 
 
-def _swap_gap_alpha(p_i, p_j, info) -> float:
-    # Signal (alpha, beta) with the high prior alone acquiring: the low
-    # prior rises to its interim posterior, the high one falls to the full
-    # posterior.  Positive value = the crossed gap exceeds the prior gap.
-    low_realized = posterior_after_first(p_i, info, ALPHA)
-    high_realized = posterior_after_both(p_j, info, ALPHA, BETA)
-    return (low_realized - high_realized) - (p_j - p_i)
+def polarization_routes(more_informative, p_i, p_j, one_sided, crossing):
+    """The four routes of :func:`polarization_feasible`, on floats or numpy rows.
 
-
-def _swap_gap_beta(p_i, p_j, info) -> float:
-    # Mirror image: signal (beta, alpha) with the low prior alone acquiring.
-    low_realized = posterior_after_both(p_i, info, BETA, ALPHA)
-    high_realized = posterior_after_first(p_j, info, BETA)
-    return (low_realized - high_realized) - (p_j - p_i)
+    ``one_sided`` holds the low-alpha, high-beta, high-alpha and low-beta B
+    (at a cost) or V memberships.  ``crossing`` holds the low prior's interim
+    and the high prior's full belief at (alpha, beta), then the low prior's
+    full and the high prior's interim belief at (beta, alpha).
+    """
+    low_alpha, high_beta, high_alpha, low_beta = one_sided
+    interim_alpha_i, full_alpha_j, full_beta_i, interim_beta_j = crossing
+    gap = p_j - p_i
+    swap_gap_alpha = (interim_alpha_i - full_alpha_j) - gap
+    swap_gap_beta = (full_beta_i - interim_beta_j) - gap
+    return (
+        more_informative & low_alpha,
+        more_informative & high_beta,
+        more_informative & (p_i > 0.0) & high_alpha & (swap_gap_alpha > 0.0),
+        more_informative & (p_j < 1.0) & low_beta & (swap_gap_beta > 0.0),
+    )
 
 
 def polarization_feasible(
@@ -190,30 +204,16 @@ def polarization_feasible(
     if c is not None:
         c = check_cost(c)
     theta_ok = info.theta2 > info.theta1
-    pair = classify_pair(p_i, p_j, 0.0 if c is None else c, info, payoffs)
-    if c is None:
-        low_alpha, high_beta = pair.in_v_low_alpha, pair.in_v_high_beta
-        high_alpha, low_beta = pair.in_v_high_alpha, pair.in_v_low_beta
-    else:
-        low_alpha, high_beta = pair.in_b_low_alpha, pair.in_b_high_beta
-        high_alpha, low_beta = pair.in_b_high_alpha, pair.in_b_low_beta
-    via_alpha = theta_ok and low_alpha
-    via_beta = theta_ok and high_beta
-    via_alpha_swap = (
-        theta_ok and high_alpha and p_i > 0.0 and _swap_gap_alpha(p_i, p_j, info) > 0.0
+    pair = tuple(vars(classify_pair(p_i, p_j, 0.0 if c is None else c, info, payoffs)).values())
+    crossing = (
+        posterior_after_first(p_i, info, ALPHA),
+        posterior_after_both(p_j, info, ALPHA, BETA),
+        posterior_after_both(p_i, info, BETA, ALPHA),
+        posterior_after_first(p_j, info, BETA),
     )
-    via_beta_swap = (
-        theta_ok and low_beta and p_j < 1.0 and _swap_gap_beta(p_i, p_j, info) > 0.0
-    )
-    return PolarizationFeasibility(
-        feasible=via_alpha or via_beta or via_alpha_swap or via_beta_swap,
-        second_more_informative=theta_ok,
-        via_alpha=via_alpha,
-        via_beta=via_beta,
-        via_alpha_swap=via_alpha_swap,
-        via_beta_swap=via_beta_swap,
-        cost=c,
-    )
+    one_sided = pair[4:] if c is None else pair[:4]  # PairClass: four B, then four V
+    routes = polarization_routes(theta_ok, p_i, p_j, one_sided, crossing)
+    return PolarizationFeasibility(any(routes), theta_ok, *routes, cost=c)
 
 
 def polarization_probability(

@@ -20,7 +20,10 @@ Two boundary conventions worth knowing:
 For a pair of priors (low, high), the B sets record who acquires at a given
 cost while the other does not, and the V sets record who is strictly more
 willing to pay regardless of cost.  B membership at any cost implies the
-corresponding V membership.
+corresponding V membership.  :func:`pair_memberships` states these eight
+comparisons once, on floats and numpy rows alike: :func:`classify_pair`
+feeds it one pair, while ``secondlook sets`` computes each grid prior's
+willingness once and feeds it one low prior against all higher ones.
 """
 
 from __future__ import annotations
@@ -240,6 +243,26 @@ class PairClass:
     in_v_low_beta: bool
 
 
+def pair_memberships(wtp_low, wtp_high, c):
+    """The eight B/V memberships, in :class:`PairClass` field order, from willingness.
+
+    ``wtp_low`` and ``wtp_high`` are each prior's (alpha, beta) willingness to
+    pay.  Only comparisons and ``&`` are used, so floats give bools and numpy
+    rows give boolean rows: the one statement of the pair law for both.
+    """
+    (alpha_i, beta_i), (alpha_j, beta_j) = wtp_low, wtp_high
+    return (
+        (alpha_i > c) & (c >= alpha_j),
+        (beta_j > c) & (c >= beta_i),
+        (alpha_j > c) & (c >= alpha_i),
+        (beta_i > c) & (c >= beta_j),
+        alpha_i > alpha_j,
+        beta_j > beta_i,
+        alpha_j > alpha_i,
+        beta_i > beta_j,
+    )
+
+
 def classify_pair(
     p_i: float,
     p_j: float,
@@ -258,20 +281,8 @@ def classify_pair(
     if p_i > p_j:
         raise OrderingError(f"pair priors must satisfy p_i <= p_j, got ({p_i}, {p_j})")
     c = check_cost(c)
-    wtp_i_a = willingness_to_pay(p_i, info, payoffs, ALPHA)
-    wtp_j_a = willingness_to_pay(p_j, info, payoffs, ALPHA)
-    wtp_i_b = willingness_to_pay(p_i, info, payoffs, BETA)
-    wtp_j_b = willingness_to_pay(p_j, info, payoffs, BETA)
-    return PairClass(
-        in_b_low_alpha=wtp_i_a > c >= wtp_j_a,
-        in_b_high_beta=wtp_j_b > c >= wtp_i_b,
-        in_b_high_alpha=wtp_j_a > c >= wtp_i_a,
-        in_b_low_beta=wtp_i_b > c >= wtp_j_b,
-        in_v_low_alpha=wtp_i_a > wtp_j_a,
-        in_v_high_beta=wtp_j_b > wtp_i_b,
-        in_v_high_alpha=wtp_j_a > wtp_i_a,
-        in_v_low_beta=wtp_i_b > wtp_j_b,
-    )
+    wtp = [willingness_to_pay(p, info, payoffs, s1) for p in (p_i, p_j) for s1 in (ALPHA, BETA)]
+    return PairClass(*pair_memberships(wtp[:2], wtp[2:], c))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from secondlook import ALPHA, InformationStructure, PayoffStructure, classify_pair
 from secondlook.cli import main
+from secondlook.config import render_table
+from secondlook.incentives import willingness_to_pay
 
 
 def run_cli(capsys, *args):
@@ -71,6 +75,38 @@ def test_sets_reference_memberships(capsys):
     # beyond the willingness peak nobody acquires
     above = by_key[("0.3", "0.7", "0.31")]
     assert all(above[k] == "false" for k in above if k.startswith("b_"))
+
+
+SETS_GRID = 21
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("payoff", [(1.0, 0.0), (2.0, 0.5)], ids=str)
+@pytest.mark.parametrize("theta", [(0.6, 0.8), (0.8, 0.6), (0.7, 0.7)], ids=str)
+def test_sets_matches_per_pair_classification(capsys, theta, payoff, fmt):
+    # The row sweep must print exactly what one classify_pair call per pair
+    # gives; a numpy bool cell would print "True" in CSV and break json.dumps.
+    info, payoffs = InformationStructure(*theta), PayoffStructure(*payoff)
+    grid = [float(p) for p in np.linspace(0.0, 1.0, SETS_GRID)]
+    tie = max(willingness_to_pay(p, info, payoffs, ALPHA) for p in grid)  # an exact tie
+    assert tie > 0.0
+    costs = (0.0, tie, 0.31)
+    code, out, _ = run_cli(
+        capsys, "sets", "--grid", str(SETS_GRID), "--format", fmt,
+        "--theta1", str(theta[0]), "--theta2", str(theta[1]),
+        "--u-correct", str(payoff[0]), "--u-wrong", str(payoff[1]),
+        "--costs", ",".join(map(repr, costs)),
+    )
+    assert code == 0
+    columns = ["p_low", "p_high", "cost", "b_low_alpha", "b_high_beta", "b_high_alpha",
+               "b_low_beta", "v_low_alpha", "v_high_beta", "v_high_alpha", "v_low_beta"]
+    rows = [
+        (p_low, p_high, cost, *vars(classify_pair(p_low, p_high, cost, info, payoffs)).values())
+        for cost in costs
+        for i, p_low in enumerate(grid)
+        for p_high in grid[i:]
+    ]
+    assert out == render_table(columns, rows, fmt)
 
 
 def test_example_reference_run(capsys):

@@ -28,6 +28,8 @@ from secondlook import (
     willingness_to_pay,
 )
 from secondlook import oracle
+from secondlook.patterns import polarization_routes, polarization_verdict
+from secondlook.sets import pair_memberships
 
 SMALL_GRID = default_prior_grid(21)
 
@@ -241,7 +243,8 @@ AGREEMENT_COSTS = [0.0, 0.01, 0.05, 0.1, 0.15, 0.25, 0.3]
 )
 @pytest.mark.parametrize("theta", AGREEMENT_THETAS, ids=str)
 def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
-    # ``==``, not approx: the array expressions keep the scalar operation order.
+    # ``==``, not approx: the per-prior rows come from the scalar API and go
+    # through the same pair laws, so rows and scalar calls agree bit for bit.
     info = InformationStructure(*theta)
     grid = default_prior_grid(31).tolist()
     keep = [
@@ -252,14 +255,23 @@ def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
         for a, low, high in oracle._pair_rows(keep, info, payoffs, cost, strict=True):
             p_i, wtp_i, post_i, acq_i, cross_i = low
             p_j, wtp_j, post_j, acq_j, cross_j = high
-            outcome = oracle._pair_outcome(p_i, p_j, post_i, post_j)
-            feasible = oracle._feasible_pairs(
-                p_i, p_j, wtp_i, wtp_j, cross_i, cross_j, info, cost
+            outcome = polarization_verdict(p_i, p_j, post_i[:, None], post_j)
+            routes = polarization_routes(
+                info.theta2 > info.theta1,
+                p_i,
+                p_j,
+                pair_memberships(wtp_i, wtp_j, cost)[:4],
+                (cross_i[0], cross_j[1], cross_i[2], cross_j[3]),
             )
+            feasible = np.logical_or.reduce(routes)
             pairs = [(grid[a], p) for p in grid[a + 1 :]]
-            assert feasible.tolist() == [
-                polarization_feasible(*pair, info, payoffs, cost).feasible
-                for pair in pairs
+            feasibility = [polarization_feasible(*pair, info, payoffs, cost) for pair in pairs]
+            assert feasible.tolist() == [f.feasible for f in feasibility]
+            assert [route.tolist() for route in routes] == [
+                [f.via_alpha for f in feasibility],
+                [f.via_beta for f in feasibility],
+                [f.via_alpha_swap for f in feasibility],
+                [f.via_beta_swap for f in feasibility],
             ]
             for s, signal in enumerate(ALL_SIGNALS):
                 scalar = [
@@ -270,7 +282,7 @@ def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
                     [o.inversion for o in scalar],
                     [o.polarized for o in scalar],
                 ]
-                assert [(bool(acq_i[s, 0]), bool(acq)) for acq in acq_j[s]] == [
+                assert [(bool(acq_i[s]), bool(acq)) for acq in acq_j[s]] == [
                     tuple(act is AcquisitionAction.ACQUIRE for act in o.acquisitions)
                     for o in scalar
                 ]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secondlook import (
     ALL_SIGNALS,
@@ -26,6 +28,7 @@ from secondlook import (
     willingness_to_pay,
 )
 from secondlook.model import check_cost
+from secondlook.patterns import polarization_routes, polarization_verdict
 
 
 def test_realized_posterior_reference(info, payoffs):
@@ -372,3 +375,43 @@ COST_TAKERS = {
 def test_cost_must_be_a_finite_number(info, payoffs, take, bad):
     with pytest.raises(ParameterError):
         take(bad, info, payoffs)
+
+
+# Few distinct values, so beliefs tie with each other and with the priors.
+BELIEF = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0])
+FLAG = st.booleans()
+
+
+@given(
+    st.lists(st.tuples(BELIEF, BELIEF, BELIEF, BELIEF), min_size=1, max_size=8),
+)
+def test_polarization_verdict_on_rows_equals_its_float_values(points):
+    on_floats = [polarization_verdict(*point) for point in points]
+    for divergence, inversion, polarized in on_floats:
+        assert type(divergence) is float and type(inversion) is float
+        assert type(polarized) is bool
+    rows = polarization_verdict(*np.array(points).T)
+    assert [x.tolist() for x in rows] == [list(col) for col in zip(*on_floats)]
+
+
+@given(
+    FLAG,
+    st.lists(
+        st.tuples(BELIEF, BELIEF, st.tuples(FLAG, FLAG, FLAG, FLAG),
+                  st.tuples(BELIEF, BELIEF, BELIEF, BELIEF)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_polarization_routes_on_rows_equal_their_float_values(more_informative, points):
+    on_floats = [polarization_routes(more_informative, *point) for point in points]
+    assert all(type(route) is bool for routes in on_floats for route in routes)
+    p_i, p_j, one_sided, crossing = zip(*points)
+    rows = polarization_routes(
+        more_informative,
+        np.array(p_i),
+        np.array(p_j),
+        np.array(one_sided).T,
+        np.array(crossing).T,
+    )
+    assert [x.tolist() for x in rows] == [list(col) for col in zip(*on_floats)]

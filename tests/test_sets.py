@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -21,6 +23,7 @@ from secondlook import (
     reciprocity_report,
     willingness_to_pay,
 )
+from secondlook.sets import pair_memberships
 
 
 def _random_structures(rng, n):
@@ -263,6 +266,26 @@ def test_one_sided_acquisition_implies_willingness_ordering():
         assert not pair.in_b_high_beta or pair.in_v_high_beta
         assert not pair.in_b_high_alpha or pair.in_v_high_alpha
         assert not pair.in_b_low_beta or pair.in_v_low_beta
+
+
+# Few distinct values, so willingness ties with itself and with the cost often.
+TIE_PRONE = st.sampled_from([0.0, 0.05, 0.1, math.nextafter(0.1, 1.0), 0.2, 0.3])
+WTP = st.tuples(TIE_PRONE, TIE_PRONE)  # (alpha, beta)
+
+
+@given(pairs=st.lists(st.tuples(WTP, WTP), min_size=1, max_size=8), c=TIE_PRONE)
+def test_pair_memberships_on_rows_equal_their_float_values(pairs, c):
+    on_floats = [pair_memberships(low, high, c) for low, high in pairs]
+    assert all(type(m) is bool for row in on_floats for m in row)
+    low, high = (np.array(side).T for side in zip(*pairs))
+    rows = pair_memberships(low, high, c)
+    assert [m.tolist() for m in rows] == [list(col) for col in zip(*on_floats)]
+    # one low prior against a row of higher ones, as ``secondlook sets`` calls it
+    first = pairs[0][0]
+    rows = pair_memberships(first, high, c)
+    assert [m.tolist() for m in rows] == [
+        list(col) for col in zip(*(pair_memberships(first, j, c) for _, j in pairs))
+    ]
 
 
 def test_reciprocity_report_for_matched_willingness(info, payoffs):
