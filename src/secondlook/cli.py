@@ -179,18 +179,16 @@ def _emit(text: str, args) -> None:
 def cmd_wtp(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     columns = ["p", "wtp_alpha", "wtp_beta", "case_alpha", "case_beta"]
-    rows = []
-    for p in np.linspace(0.0, 1.0, config.grid):
-        p = float(p)
-        rows.append(
-            (
-                p,
-                willingness_to_pay(p, info, payoffs, ALPHA),
-                willingness_to_pay(p, info, payoffs, BETA),
-                classify_case(p, info, ALPHA),
-                classify_case(p, info, BETA),
-            )
+    rows = [
+        (
+            p,
+            willingness_to_pay(p, info, payoffs, ALPHA),
+            willingness_to_pay(p, info, payoffs, BETA),
+            classify_case(p, info, ALPHA),
+            classify_case(p, info, BETA),
         )
+        for p in np.linspace(0.0, 1.0, config.grid).tolist()
+    ]
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
 
@@ -208,7 +206,7 @@ def cmd_partition(config: RunConfig, args) -> int:
 
 def cmd_sets(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
-    grid = [float(p) for p in np.linspace(0.0, 1.0, config.grid)]
+    grid = np.linspace(0.0, 1.0, config.grid).tolist()
     # Each prior's willingness once per run, then one low prior against the
     # row of all priors from it on per cost; tolist() keeps cells Python bools.
     wtp = [tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in grid]

@@ -7,13 +7,18 @@ serialized with :func:`dump_config` parses back to an identical value.
 
 Tables are emitted as CSV with a header row or as a JSON array of flat
 records.  Floats are printed with 12 significant digits in both formats so
-the two decode to identical records.
+the two decode to identical records.  The JSON layout is the one
+``json.dumps(records, indent=2)`` gives: one record per block, indented by two
+spaces and its fields by four; each finite float is the shortest repr of its
+12-significant-digit value, and a non-finite one is written as ``json.dumps``
+writes it (``NaN``, ``Infinity``, ``-Infinity``).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ModelError
@@ -155,12 +160,6 @@ def dump_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_ready(value):
-    if isinstance(value, float):
-        return float(_FLOAT_FORMAT % value)
-    return value
-
-
 def render_csv(columns: list[str], rows: list[tuple]) -> str:
     out = io.StringIO()
     out.write(",".join(columns) + "\n")
@@ -169,9 +168,28 @@ def render_csv(columns: list[str], rows: list[tuple]) -> str:
     return out.getvalue()
 
 
+def _json_cell(value) -> str:
+    """One JSON cell, as ``json.dumps`` writes the value rounded to 12 digits."""
+    if isinstance(value, float):
+        value = float(_FLOAT_FORMAT % value)
+        return repr(value) if math.isfinite(value) else json.dumps(value)
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
 def render_json(columns: list[str], rows: list[tuple]) -> str:
-    records = [{c: _json_ready(v) for c, v in zip(columns, row)} for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+    if not rows:
+        return "[]\n"
+    # One str.format template per record: json.dumps with an indent runs
+    # CPython's pure-Python encoder, several times slower on large tables.
+    # The cells stay lazy maps, so each cell string is freed once its record is built.
+    lines = ",\n".join(
+        "    " + json.dumps(c).replace("{", "{{").replace("}", "}}") + ": {}" for c in columns
+    )
+    template = "  {{\n" + lines + "\n  }}"
+    cells = [map(_json_cell, column) for column in zip(*rows)]
+    return "[\n" + ",\n".join(map(template.format, *cells)) + "\n]\n"
 
 
 def render_table(columns: list[str], rows: list[tuple], fmt: str) -> str:

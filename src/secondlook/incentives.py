@@ -89,7 +89,11 @@ def classify_case(
 
     Ties at shared interval endpoints resolve to the lower case number.
     """
-    p = check_probability(p)
+    return _case(check_probability(p), info, s1)
+
+
+def _case(p: float, info: InformationStructure, s1: SignalComponentValue) -> int:
+    # classify_case for a prior already through check_probability.
     lo, mid, hi = case_thresholds(info, s1)
     if s1 is ALPHA:
         if p >= hi:
@@ -123,7 +127,7 @@ def willingness_to_pay(
     """
     p = check_probability(p)
     t1, t2 = info.theta1, info.theta2
-    case = classify_case(p, info, s1)
+    case = _case(p, info, s1)
     if case in (1, 4, 5, 8):
         return 0.0
     q = 1.0 - p

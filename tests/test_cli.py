@@ -45,6 +45,18 @@ def test_wtp_json_matches_csv(capsys):
         assert int(c_row["case_alpha"]) == j_row["case_alpha"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["wtp", "--grid", "11"], ["sets", "--grid", "5"], ["partition"], ["polarize"],
+     ["simulate", "--draws", "1000"]],
+    ids=lambda command: command[0],
+)
+def test_json_tables_are_indented_dumps(capsys, command):
+    code, out, _ = run_cli(capsys, *command, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_partition_reference_intervals(capsys):
     code, out, _ = run_cli(capsys, "partition")
     assert code == 0

@@ -1,6 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secondlook import ConfigError, DEFAULT_CONFIG, RunConfig, dump_config, parse_config
 from secondlook.config import render_csv, render_json, render_table
@@ -128,6 +132,72 @@ def test_csv_and_json_emitters_agree():
             {"name": name, "value": float(value), "flag": flag == "true", "count": int(count)}
         )
     assert decoded == json_rows
+
+
+def indented_dumps(columns, rows):
+    """The JSON table as first defined: records through json.dumps(indent=2)."""
+    records = [
+        {c: (float("%.12g" % v) if isinstance(v, float) else v) for c, v in zip(columns, row)}
+        for row in rows
+    ]
+    return json.dumps(records, indent=2) + "\n"
+
+
+# %.12g and repr print 1.23456789012e12 differently, so a cell must round-trip
+# through float; 5e-324 and 2.5e-310 are subnormal.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
+               1.23456789012e12, 1 / 3, 0.30000000000000004, -2.5, 1e-7]
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (["p", "q"], []),
+        (["x"], [(v,) for v in EDGE_FLOATS]),
+        (["x"], [(np.float64(v),) for v in EDGE_FLOATS]),
+        (
+            ["n", 'say "hi"', "{x}", "}{0}", "back\\slash", "pr\u00efor"],
+            [
+                (0, True, None, "plain", 1 / 3, np.float64(0.1) * 3),
+                (-7, False, 2**70, 'quote " and \\ backslash', math.nan, "tab\tnew\nline\x00"),
+                (1, None, "\u00e9\u03b8\U0001f600", "{}{0}}", -0.0, 12),
+            ],
+        ),
+    ],
+)
+def test_render_json_matches_indented_dumps(columns, rows):
+    assert render_json(columns, rows) == indented_dumps(columns, rows)
+
+
+_cells = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+
+
+@given(
+    st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
+        lambda columns: st.tuples(
+            st.just(columns),
+            st.lists(st.tuples(*[_cells] * len(columns)), max_size=5),
+        )
+    )
+)
+def test_render_json_matches_indented_dumps_property(table):
+    columns, rows = table
+    assert render_json(columns, rows) == indented_dumps(columns, rows)
+
+
+def test_render_json_rejects_cells_json_cannot_encode():
+    rows = [(0.5, np.bool_(True))]
+    with pytest.raises(TypeError):
+        indented_dumps(["p", "flag"], rows)
+    with pytest.raises(TypeError):
+        render_json(["p", "flag"], rows)
 
 
 def test_render_table_dispatch():
