@@ -33,7 +33,6 @@ from .model import (
     marginal_first,
     posterior_after_first,
     posterior_after_both,
-    sample_signal_batch,
 )
 from .incentives import (
     AcquisitionAction,

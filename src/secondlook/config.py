@@ -27,6 +27,7 @@ from .model import (
     PayoffStructure,
     Scenario,
     check_cost,
+    check_count,
     check_probability,
 )
 
@@ -68,6 +69,7 @@ class RunConfig:
                 check_probability(self.subjective_p, "subjective_p")
             if self.grid < 2:
                 raise ModelError(f"grid must have at least 2 points, got {self.grid}")
+            check_count(self.seed, "seed", 0)
             for c in self.cost_list():
                 check_cost(c, "costs")
         except ModelError as exc:

@@ -12,17 +12,15 @@ conditional on the state.  The first component is free; observing the second
 costs a processing fee, which is what the rest of the package is about.
 
 Everything here is a pure function of its inputs; all value types are
-immutable and safe to share across threads.  Sampling takes an explicit seed
-or generator so simulations are reproducible.
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import InvalidProbabilityError, ParameterError
 
@@ -145,6 +143,18 @@ def check_cost(c: float, name: str = "cost") -> float:
     return c
 
 
+def check_count(n: int, name: str, minimum: int) -> int:
+    """Validate a count such as a draw count or a seed: an integer >= ``minimum``.
+
+    numpy integers are accepted; floats, strings and bools raise.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {n!r}")
+    return int(n)
+
+
 def check_probability(p: float, name: str = "p") -> float:
     """Validate a probability; NaN, bools, strings and out-of-range values raise."""
     if type(p) is float and 0.0 <= p <= 1.0:  # the fast path, as in check_cost
@@ -226,29 +236,3 @@ def conditional_second(
     return q * _likelihood(info.theta2, s2, StateOfWorld.A) + (1.0 - q) * _likelihood(
         info.theta2, s2, StateOfWorld.B
     )
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def sample_signal_batch(
-    p: float, info: InformationStructure, n: int, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draws of the state-coupled signal process.
-
-    Returns three boolean arrays of length ``n``: state is A, first component
-    is alpha, second component is alpha.  Deterministic for a fixed seed.
-    """
-    p = check_probability(p)
-    if n < 1:
-        raise ParameterError(f"need at least one draw, got {n}")
-    gen = _as_generator(rng)
-    state_a = gen.random(n) < p
-    match1 = gen.random(n) < info.theta1
-    match2 = gen.random(n) < info.theta2
-    first_a = np.where(state_a, match1, ~match1)
-    second_a = np.where(state_a, match2, ~match2)
-    return state_a, first_a, second_a

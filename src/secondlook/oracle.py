@@ -34,12 +34,12 @@ from .model import (
     SignalComponentValue,
     StateOfWorld,
     check_cost,
+    check_count,
     check_probability,
     conditional_second,
     marginal_first,
     posterior_after_both,
     posterior_after_first,
-    sample_signal_batch,
 )
 from .patterns import (
     confirmation_report,
@@ -253,6 +253,48 @@ def pattern_probability(
     return total
 
 
+#: Draws per block of the Monte Carlo: memory is O(block), whatever ``draws``.
+_MC_BLOCK = 1 << 16
+
+
+def _signal_counts(thresholds: tuple[float, ...], draws: int, seed: int) -> tuple[int, ...]:
+    """Counts of the four signals, in ``ALL_SIGNALS`` order, over ``draws`` draws.
+
+    With three thresholds ``(p, theta1, theta2)`` the state is A when its
+    uniform is below ``p`` and each component matches the state when its
+    uniform is below its precision (the state-coupled law).  With two,
+    ``(prob1, prob2)``, each component is alpha when its uniform is below its
+    marginal (the product of marginals).
+
+    Uniform j comes from stream j: the seeded ``PCG64`` advanced by
+    ``j * draws`` doubles.  The streams are read in blocks of ``_MC_BLOCK``,
+    and each yields exactly the doubles of the j-th ``random(draws)`` call on
+    ``default_rng(seed)``, so the counts equal those of whole-array draws.
+    """
+    streams = [
+        np.random.Generator(np.random.PCG64(seed).advance(j * draws))
+        for j in range(len(thresholds))
+    ]
+    n_first = n_second = n_both = 0
+    for start in range(0, draws, _MC_BLOCK):
+        size = min(_MC_BLOCK, draws - start)
+        below = [gen.random(size) < t for gen, t in zip(streams, thresholds)]
+        if len(below) == 3:
+            state_a, match1, match2 = below
+            first_a, second_a = state_a == match1, state_a == match2
+        else:
+            first_a, second_a = below
+        n_first += int(np.count_nonzero(first_a))
+        n_second += int(np.count_nonzero(second_a))
+        n_both += int(np.count_nonzero(first_a & second_a))
+    return (
+        n_both,
+        n_first - n_both,
+        n_second - n_both,
+        draws - n_first - n_second + n_both,
+    )
+
+
 def mc_pattern_frequency(
     pattern: str,
     p_subjective: float,
@@ -267,29 +309,24 @@ def mc_pattern_frequency(
     """Seeded Monte Carlo frequency of a belief pattern.
 
     Signals are drawn under the subjective prior ``p_subjective`` and the
-    deterministic predicate is evaluated per draw.  Sampling laws match
-    :func:`pattern_probability`: the state-coupled process for single
-    decision-maker patterns, independent component marginals for pairwise
-    polarization.  Identical seeds give identical estimates bit for bit.
+    deterministic predicate is evaluated once per signal that was drawn.
+    Sampling laws match :func:`pattern_probability`: the state-coupled
+    process for single decision-maker patterns, independent component
+    marginals for pairwise polarization.  Identical seeds give identical
+    estimates bit for bit; memory stays O(block) at any ``draws``.
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
     _check_pattern(pattern, p_j)
-    if draws < 1:
-        raise ParameterError(f"need at least one draw, got {draws}")
-    rng = np.random.default_rng(seed)
+    draws = check_count(draws, "draws", 1)
+    seed = check_count(seed, "seed", 0)
     if pattern == "PB":
         prob1 = marginal_first(p_subjective, info, ALPHA)
         prob2 = p_subjective * info.theta2 + (1.0 - p_subjective) * (1.0 - info.theta2)
-        first_a = rng.random(draws) < prob1
-        second_a = rng.random(draws) < prob2
+        thresholds = (prob1, prob2)
     else:
-        _, first_a, second_a = sample_signal_batch(p_subjective, info, draws, rng)
+        thresholds = (p_subjective, info.theta1, info.theta2)
     hits = 0
-    for signal in ALL_SIGNALS:
-        mask = (first_a == (signal.first is ALPHA)) & (
-            second_a == (signal.second is ALPHA)
-        )
-        count = int(np.count_nonzero(mask))
+    for signal, count in zip(ALL_SIGNALS, _signal_counts(thresholds, draws, seed)):
         if count and _pattern_indicator(pattern, p, info, payoffs, cost, signal, p_j):
             hits += count
     freq = hits / draws

@@ -174,6 +174,28 @@ def test_simulate_is_deterministic(capsys):
     assert float(row["analytic"]) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["--pattern", "PB"],
+         "PB,1000003,42,0.500060499819,0.000499999246341,0.5,6.04998185005e-05,true"),
+        (["--pattern", "CB"],
+         "CB,1000003,42,0.219576341271,0.00041395900466,0.22,0.000423658729024,true"),
+        (["--pattern", "UR"],
+         "UR,1000003,42,0.280871157387,0.000449424014032,0.28,0.000871157386528,true"),
+        (["--pattern", "UR", "--theta1", "0.8", "--theta2", "0.6"],
+         "UR,1000003,42,0.560939317182,0.000496271760998,0.56,0.000939317182049,true"),
+    ],
+    ids=["PB", "CB", "UR", "UR-weaker-second"],
+)
+def test_simulate_golden_rows(capsys, args, line):
+    # Recorded from whole-array draws; the streamed sampler must reproduce
+    # every digit, across a draw count that is not a multiple of its block.
+    code, out, _ = run_cli(capsys, "simulate", *args, "--draws", "1000003", "--seed", "42")
+    assert code == 0
+    assert out.splitlines()[1] == line
+
+
 def test_simulate_single_pattern(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--pattern", "UR", "--priors", "0.7",
@@ -230,12 +252,19 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "wtp", "--config", str(config))
     assert code == 1
     assert "theta2" in err
+    config.write_text("seed = -1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 1
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_invalid_override_exits_one(capsys):
     code, _, err = run_cli(capsys, "wtp", "--theta2", "0.4")
     assert code == 1
     assert "theta2" in err
+    code, _, err = run_cli(capsys, "simulate", "--seed", "-1")
+    assert code == 1
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_usage_error_exits_one(capsys):

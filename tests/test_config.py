@@ -95,6 +95,8 @@ def test_semantic_validation_wrapped_as_config_error():
         parse_config("subjective_p = 1.5\n")
     with pytest.raises(ConfigError):
         parse_config("costs = 0.1, nan\n")
+    with pytest.raises(ConfigError):
+        parse_config("seed = -1\n")
 
 
 @pytest.mark.parametrize(
@@ -105,6 +107,8 @@ def test_semantic_validation_wrapped_as_config_error():
         {"costs": (0.1, float("inf"))},
         {"costs": (True,)},
         {"cost": "0.1"},
+        {"seed": True},
+        {"seed": 1.5},
     ],
 )
 def test_validate_rejects_non_numbers(override):

@@ -17,9 +17,9 @@ from secondlook import (
     marginal_first,
     posterior_after_both,
     posterior_after_first,
-    sample_signal_batch,
 )
 from secondlook.model import check_probability
+from secondlook.oracle import _signal_counts
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 thetas = st.floats(min_value=0.501, max_value=0.999)
@@ -191,24 +191,27 @@ def test_outputs_stay_probabilities_under_fuzz():
         assert all(0.0 <= v <= 1.0 for v in values)
 
 
-def test_sampling_degenerate_prior_always_a(info):
-    state_a, _, _ = sample_signal_batch(1.0, info, 1000, 3)
-    assert state_a.all()
+# The sampling law lives in the oracle's streamed counter: thresholds
+# (p, theta1, theta2) give the counts of ALL_SIGNALS under the state-coupled law.
+
+
+def test_sampling_degenerate_prior_always_a():
+    # perfect components reveal the state, so every draw reads (alpha, alpha)
+    assert _signal_counts((1.0, 1.0, 1.0), 1000, 3) == (1000, 0, 0, 0)
 
 
 def test_sampling_deterministic_under_seed(info):
-    a = sample_signal_batch(0.7, info, 10_000, 123)
-    b = sample_signal_batch(0.7, info, 10_000, 123)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-    c = sample_signal_batch(0.7, info, 10_000, 124)
-    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+    thresholds = (0.7, info.theta1, info.theta2)
+    a = _signal_counts(thresholds, 10_000, 123)
+    assert a == _signal_counts(thresholds, 10_000, 123)
+    assert sum(a) == 10_000
+    assert a != _signal_counts(thresholds, 10_000, 124)
 
 
 def test_sampling_matches_first_component_marginal(info):
     n = 1_000_000
-    _, first_a, _ = sample_signal_batch(0.7, info, n, 99)
-    freq = first_a.mean()
+    counts = _signal_counts((0.7, info.theta1, info.theta2), n, 99)
+    freq = (counts[0] + counts[1]) / n
     target = marginal_first(0.7, info, ALPHA)  # 0.54
     se = math.sqrt(target * (1 - target) / n)
     assert abs(freq - target) <= 3 * se
@@ -216,5 +219,5 @@ def test_sampling_matches_first_component_marginal(info):
 
 def test_sampling_uniform_prior_symmetric(info):
     n = 200_000
-    _, first_a, _ = sample_signal_batch(0.5, info, n, 17)
-    assert abs(first_a.mean() - 0.5) <= 3 * math.sqrt(0.25 / n)
+    counts = _signal_counts((0.5, info.theta1, info.theta2), n, 17)
+    assert abs((counts[0] + counts[1]) / n - 0.5) <= 3 * math.sqrt(0.25 / n)

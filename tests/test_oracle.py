@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,49 @@ def test_mc_validates_inputs(info, payoffs):
         mc_pattern_frequency("PB", 0.5, 0.3, info, payoffs, 0.1, 100, 1)
     with pytest.raises(ParameterError):
         mc_pattern_frequency("UR", 0.5, 0.3, info, payoffs, 0.1, 0, 1)
+    # draws must be an int >= 1 and seed an int >= 0; a bool is neither
+    for draws, seed in [(1000.0, 1), (True, 1), ("1000", 1), (1000, True),
+                        (1000, None), (1000, -1), (1000, 1.0)]:
+        with pytest.raises(ParameterError):
+            mc_pattern_frequency("UR", 0.5, 0.3, info, payoffs, 0.1, draws, seed)
+
+
+def _whole_array_counts(thresholds, n, seed):
+    # The reference: one generator, one random(n) call per uniform, in order.
+    rng = np.random.default_rng(seed)
+    below = [rng.random(n) < t for t in thresholds]
+    if len(below) == 3:
+        state_a, match1, match2 = below
+        first_a = np.where(state_a, match1, ~match1)
+        second_a = np.where(state_a, match2, ~match2)
+    else:
+        first_a, second_a = below
+    return tuple(
+        int(np.count_nonzero((first_a == (s.first is ALPHA)) & (second_a == (s.second is ALPHA))))
+        for s in ALL_SIGNALS
+    )
+
+
+_B = oracle._MC_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("thresholds", [(0.5, 0.6, 0.8), (0.54, 0.62)], ids=["coupled", "product"])
+def test_streamed_counts_equal_whole_array_draws(thresholds, seed, n):
+    assert oracle._signal_counts(thresholds, n, seed) == _whole_array_counts(thresholds, n, seed)
+
+
+@pytest.mark.parametrize("pattern, p_j", [("CB", None), ("PB", 0.7)])
+def test_mc_memory_is_bounded_by_the_block(info, payoffs, pattern, p_j):
+    # One float64 array of 2e6 draws alone is 16 MB.
+    tracemalloc.start()
+    try:
+        mc_pattern_frequency(pattern, 0.5, 0.3, info, payoffs, 0.1, 2_000_000, 5, p_j=p_j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_mc_within_uses_the_standard_error_of_the_tested_value():
