@@ -33,6 +33,7 @@ from .model import (
     marginal_first,
     posterior_after_first,
     posterior_after_both,
+    signal_law,
 )
 from .incentives import (
     AcquisitionAction,

@@ -63,7 +63,6 @@ from .patterns import (
     confirmation_report,
     pairwise_outcome,
     polarization_feasible,
-    polarization_probability,
     reaction_report,
     realized_posterior,
 )
@@ -348,8 +347,9 @@ def cmd_polarize(config: RunConfig, args) -> int:
     cost = config.cost
     p_low, p_high = config.priors
     feas = polarization_feasible(p_low, p_high, info, payoffs, cost)
-    probability = polarization_probability(
-        config.subjective_p, p_low, p_high, info, payoffs, cost
+    # Over every route, so it is the probability of the rows marked polarized.
+    probability = pattern_probability(
+        "PB", config.subjective_p, p_low, info, payoffs, cost, p_j=p_high
     )
     columns = [
         "sigma1",
@@ -392,30 +392,25 @@ def cmd_polarize(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
-    info, payoffs = config.info(), config.payoffs()
-    pattern = args.pattern
-    p = config.priors[0]
+def _simulated_pattern(config: RunConfig, pattern: str, subjective: float, draws: int):
+    """Seeded Monte Carlo estimate of a pattern and its exact enumeration.
+
+    Both read the signal law :mod:`secondlook.oracle` assigns the pattern.
+    """
     p_j = None
     if pattern == "PB":
         if len(config.priors) != 2:
             raise ConfigError("pattern 'PB' needs two priors (low, high)")
         p_j = config.priors[1]
-    subjective = config.subjective_p if config.subjective_p is not None else p
-    estimate = mc_pattern_frequency(
-        pattern,
-        subjective,
-        p,
-        info,
-        payoffs,
-        config.cost,
-        args.draws,
-        config.seed,
-        p_j=p_j,
-    )
-    analytic = pattern_probability(
-        pattern, subjective, p, info, payoffs, config.cost, p_j=p_j
-    )
+    model = (config.priors[0], config.info(), config.payoffs(), config.cost)
+    estimate = mc_pattern_frequency(pattern, subjective, *model, draws, config.seed, p_j=p_j)
+    return estimate, pattern_probability(pattern, subjective, *model, p_j=p_j)
+
+
+def cmd_simulate(config: RunConfig, args) -> int:
+    pattern = args.pattern
+    subjective = config.subjective_p if config.subjective_p is not None else config.priors[0]
+    estimate, analytic = _simulated_pattern(config, pattern, subjective, args.draws)
     columns = [
         "pattern",
         "draws",
@@ -542,30 +537,9 @@ def cmd_verify(config: RunConfig, args) -> int:
     invariant_bad = _verify_invariants(config, tolerance, lines)
 
     # Monte Carlo section: seeded, deterministic for a fixed seed.
-    info, payoffs = config.info(), config.payoffs()
     mc_bad = 0
     if len(config.priors) == 2 and config.subjective_p is not None:
-        estimate = mc_pattern_frequency(
-            "PB",
-            config.subjective_p,
-            config.priors[0],
-            info,
-            payoffs,
-            config.cost,
-            args.draws,
-            config.seed,
-            p_j=config.priors[1],
-        )
-        # Over all routes, crossing ones included, as the simulation counts.
-        analytic = pattern_probability(
-            "PB",
-            config.subjective_p,
-            config.priors[0],
-            info,
-            payoffs,
-            config.cost,
-            p_j=config.priors[1],
-        )
+        estimate, analytic = _simulated_pattern(config, "PB", config.subjective_p, args.draws)
         ok = estimate.within(analytic, 4.0)
         mc_bad += 0 if ok else 1
         lines.append(

@@ -67,8 +67,7 @@ class RunConfig:
             self.scenario()
             if self.subjective_p is not None:
                 check_probability(self.subjective_p, "subjective_p")
-            if self.grid < 2:
-                raise ModelError(f"grid must have at least 2 points, got {self.grid}")
+            check_count(self.grid, "grid", 2)
             check_count(self.seed, "seed", 0)
             for c in self.cost_list():
                 check_cost(c, "costs")

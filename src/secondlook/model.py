@@ -236,3 +236,28 @@ def conditional_second(
     return q * _likelihood(info.theta2, s2, StateOfWorld.A) + (1.0 - q) * _likelihood(
         info.theta2, s2, StateOfWorld.B
     )
+
+
+def signal_law(
+    p: float, info: InformationStructure, law: str
+) -> tuple[float, float, float, float]:
+    """Probabilities of the four signals, in ``ALL_SIGNALS`` order, under prior ``p``.
+
+    Each is the first component's marginal times the second's probability at
+    a belief: the interim posterior after the first for ``law="coupled"``,
+    the model's law, where both components track the same state; ``p``
+    itself for ``law="product"``, the law of the paper's polarization closed
+    form, which multiplies the two components' unconditional marginals.
+    """
+    p = check_probability(p)
+    if law not in ("coupled", "product"):
+        raise ParameterError(f"unknown signal law {law!r}; expected 'coupled' or 'product'")
+    return tuple(
+        marginal_first(p, info, s.first)
+        * conditional_second(
+            posterior_after_first(p, info, s.first) if law == "coupled" else p,
+            info,
+            s.second,
+        )
+        for s in ALL_SIGNALS
+    )

@@ -40,6 +40,7 @@ from .model import (
     marginal_first,
     posterior_after_both,
     posterior_after_first,
+    signal_law,
 )
 from .patterns import (
     confirmation_report,
@@ -205,6 +206,12 @@ def _pattern_indicator(
     return report.underreaction if pattern == "UR" else report.overreaction
 
 
+def _law_of(pattern: str) -> str:
+    # Pairwise polarization samples the product law of its closed form,
+    # ``polarization_probability``; every other pattern the model's own law.
+    return "product" if pattern == "PB" else "coupled"
+
+
 def _check_pattern(pattern: str, p_j: float | None) -> None:
     if pattern not in PATTERN_IDS:
         raise UnknownPatternError(
@@ -225,27 +232,15 @@ def pattern_probability(
 ) -> float:
     """Exact probability of a pattern by enumerating the four signal values.
 
-    Single-decision-maker patterns weight each signal by the state-coupled
-    law: the first component's marginal times the second's probability given
-    the first.  The pairwise polarization pattern instead multiplies the two
-    components' unconditional marginals, matching the probability model of
-    the closed form it mirrors (see ``polarization_probability``).
+    Each signal is weighted by :func:`secondlook.model.signal_law` under the
+    pattern's law (see ``_law_of``).  For "PB" the sum runs over every
+    polarizing signal, crossing routes included.
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
     _check_pattern(pattern, p_j)
     total = 0.0
-    for signal in ALL_SIGNALS:
-        if pattern == "PB":
-            w1 = marginal_first(p_subjective, info, signal.first)
-            w2 = p_subjective * _like2(info, signal.second, StateOfWorld.A) + (
-                1.0 - p_subjective
-            ) * _like2(info, signal.second, StateOfWorld.B)
-            weight = w1 * w2
-        else:
-            interim = posterior_after_first(p_subjective, info, signal.first)
-            weight = marginal_first(p_subjective, info, signal.first) * (
-                conditional_second(interim, info, signal.second)
-            )
+    weights = signal_law(p_subjective, info, _law_of(pattern))
+    for signal, weight in zip(ALL_SIGNALS, weights):
         if weight > 0.0 and _pattern_indicator(
             pattern, p, info, payoffs, cost, signal, p_j
         ):
@@ -310,19 +305,19 @@ def mc_pattern_frequency(
 
     Signals are drawn under the subjective prior ``p_subjective`` and the
     deterministic predicate is evaluated once per signal that was drawn.
-    Sampling laws match :func:`pattern_probability`: the state-coupled
-    process for single decision-maker patterns, independent component
-    marginals for pairwise polarization.  Identical seeds give identical
-    estimates bit for bit; memory stays O(block) at any ``draws``.
+    Each pattern is sampled from the :func:`secondlook.model.signal_law`
+    that :func:`pattern_probability` weights it by.  Identical seeds give
+    identical estimates bit for bit; memory stays O(block) at any ``draws``.
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
     _check_pattern(pattern, p_j)
     draws = check_count(draws, "draws", 1)
     seed = check_count(seed, "seed", 0)
-    if pattern == "PB":
-        prob1 = marginal_first(p_subjective, info, ALPHA)
-        prob2 = p_subjective * info.theta2 + (1.0 - p_subjective) * (1.0 - info.theta2)
-        thresholds = (prob1, prob2)
+    if _law_of(pattern) == "product":
+        thresholds = (
+            marginal_first(p_subjective, info, ALPHA),
+            conditional_second(p_subjective, info, ALPHA),
+        )
     else:
         thresholds = (p_subjective, info.theta1, info.theta2)
     hits = 0

@@ -23,9 +23,10 @@ from :mod:`secondlook.sets` as inputs.  The pair outcome and the four
 feasibility routes are each stated once, in :func:`polarization_verdict` and
 :func:`polarization_routes`, with operators that work on floats and numpy
 rows alike: the scalar API feeds them one validated pair, the grid checks of
-:mod:`secondlook.oracle` whole rows.  The probability formula multiplies the
-two components' marginals at a caller-supplied subjective prior; that prior
-is deliberately never defaulted, because nothing in the model pins it down.
+:mod:`secondlook.oracle` whole rows.  The probability formula reads the
+product :func:`secondlook.model.signal_law` at a caller-supplied subjective
+prior; that prior is deliberately never defaulted, because nothing in the
+model pins it down.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .model import (
     SignalComponentValue,
     check_cost,
     check_probability,
-    marginal_first,
     posterior_after_both,
     posterior_after_first,
+    signal_law,
 )
 from .sets import ProbabilityInterval, classify_pair, h_set
 
@@ -226,32 +227,18 @@ def polarization_probability(
 ) -> float:
     """Ex-ante probability of polarization at cost ``c`` under a subjective prior.
 
-    Each in-order acquisition asymmetry contributes the product of the two
-    components' marginals for the opposing realization pattern: first alpha
-    and second beta when the low prior alone acquires after alpha, and the
-    mirror image when the high prior alone acquires after beta.  The result
-    never exceeds 1/2.
-
-    Two limits of this closed form worth knowing: it multiplies the two
-    component marginals as if independent, whereas the sampled signal
-    process couples them through the state (the Monte Carlo validator draws
-    from the product law for exactly this reason); and it counts only the
-    in-order routes of :func:`polarization_feasible`, so pairs that can
-    polarize only by crossing get probability zero here.
+    The paper's closed form: each in-order route of
+    :func:`polarization_feasible` contributes the ``"product"``
+    :func:`secondlook.model.signal_law` weight of its opposing signal,
+    (alpha, beta) when the low prior alone acquires after alpha and
+    (beta, alpha) when the high prior alone acquires after beta.  The result
+    never exceeds 1/2.  Pairs that polarize only by crossing get zero here;
+    ``pattern_probability("PB", ...)`` counts every route.
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
     feas = polarization_feasible(p_i, p_j, info, payoffs, c)
-    if not feas:
-        return 0.0
-    prob_first_alpha = marginal_first(p_subjective, info, ALPHA)
-    t2 = info.theta2
-    prob_second_alpha = p_subjective * t2 + (1.0 - p_subjective) * (1.0 - t2)
-    total = 0.0
-    if feas.via_alpha:
-        total += prob_first_alpha * (1.0 - prob_second_alpha)
-    if feas.via_beta:
-        total += (1.0 - prob_first_alpha) * prob_second_alpha
-    return total
+    _, alpha_beta, beta_alpha, _ = signal_law(p_subjective, info, "product")
+    return (alpha_beta if feas.via_alpha else 0.0) + (beta_alpha if feas.via_beta else 0.0)
 
 
 def polarization_partners(

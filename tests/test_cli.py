@@ -162,6 +162,17 @@ def test_polarize_reference_pair(capsys):
     assert rows[0]["feasible"] == "true"
 
 
+def test_polarize_crossing_pair_prints_all_routes_probability(capsys):
+    # (alpha, beta) polarizes this pair only by crossing; the probability
+    # column counts it, so the row marked polarized does not read 0
+    code, out, _ = run_cli(capsys, "polarize", "--priors", "0.125,0.2", "--cost", "0.05")
+    assert code == 0
+    by_signal = {(r["sigma1"], r["sigma2"]): r for r in read_csv(out)}
+    assert by_signal[("alpha", "beta")]["polarized"] == "true"
+    assert by_signal[("alpha", "beta")]["via_alpha_swap"] == "true"
+    assert {r["probability"] for r in by_signal.values()} == {"0.25"}
+
+
 def test_simulate_is_deterministic(capsys):
     code, first, _ = run_cli(capsys, "simulate", "--draws", "20000")
     assert code == 0

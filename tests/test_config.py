@@ -109,6 +109,10 @@ def test_semantic_validation_wrapped_as_config_error():
         {"cost": "0.1"},
         {"seed": True},
         {"seed": 1.5},
+        {"grid": 2.5},
+        {"grid": "3"},
+        {"grid": None},
+        {"grid": True},
     ],
 )
 def test_validate_rejects_non_numbers(override):

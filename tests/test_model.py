@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secondlook import (
+    ALL_SIGNALS,
     ALPHA,
     BETA,
     InformationStructure,
@@ -17,6 +18,7 @@ from secondlook import (
     marginal_first,
     posterior_after_both,
     posterior_after_first,
+    signal_law,
 )
 from secondlook.model import check_probability
 from secondlook.oracle import _signal_counts
@@ -75,6 +77,63 @@ def test_conditional_second_values(info):
     assert conditional_second(q, info, BETA) == pytest.approx(expected, abs=1e-15)
     assert conditional_second(q, info, BETA) == pytest.approx(0.3333, abs=5e-4)
     assert conditional_second(1.0, info, ALPHA) == pytest.approx(0.8, abs=1e-15)
+
+
+def _raw_likelihood(theta, value, state_a):
+    return theta if (value is ALPHA) == state_a else 1.0 - theta
+
+
+def test_signal_law_coupled_is_the_joint_over_states(info):
+    # P(s1, s2) = sum over states of P(state) * L1(s1 | state) * L2(s2 | state)
+    for p in (0.0, 0.3, 0.5, 0.7, 1.0):
+        law = signal_law(p, info, "coupled")
+        for signal, weight in zip(ALL_SIGNALS, law):
+            joint = sum(
+                prob_state
+                * _raw_likelihood(0.6, signal.first, state_a)
+                * _raw_likelihood(0.8, signal.second, state_a)
+                for prob_state, state_a in ((p, True), (1.0 - p, False))
+            )
+            assert weight == pytest.approx(joint, abs=1e-15)
+        assert abs(sum(law) - 1.0) <= 1e-15
+
+
+def test_signal_law_product_multiplies_the_marginals(info):
+    def marginal(p, theta, value):
+        return sum(
+            prob_state * _raw_likelihood(theta, value, state_a)
+            for prob_state, state_a in ((p, True), (1.0 - p, False))
+        )
+
+    for p in (0.0, 0.3, 0.5, 0.7, 1.0):
+        law = signal_law(p, info, "product")
+        for signal, weight in zip(ALL_SIGNALS, law):
+            product = marginal(p, 0.6, signal.first) * marginal(p, 0.8, signal.second)
+            assert weight == pytest.approx(product, abs=1e-15)
+        assert abs(sum(law) - 1.0) <= 1e-15
+
+
+def test_signal_law_rejects_unknown_law(info):
+    with pytest.raises(ParameterError):
+        signal_law(0.5, info, "independent")
+    with pytest.raises(InvalidProbabilityError):
+        signal_law(1.5, info, "coupled")
+
+
+@given(p=probs, t1=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       t2=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+def test_signal_law_properties(p, t1, t2):
+    info = InformationStructure(t1, t2)
+    coupled = signal_law(p, info, "coupled")
+    product = signal_law(p, info, "product")
+    for law in (coupled, product):
+        assert all(0.0 <= w <= 1.0 for w in law)
+        assert abs(sum(law) - 1.0) <= 1e-15
+    # both laws share the first component's marginal
+    for s1, rows in ((ALPHA, slice(0, 2)), (BETA, slice(2, 4))):
+        first = marginal_first(p, info, s1)
+        assert abs(sum(coupled[rows]) - first) <= 1e-15
+        assert abs(sum(product[rows]) - first) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), True, False, "0.3"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from secondlook import (
@@ -12,6 +12,7 @@ from secondlook import (
     InformationStructure,
     OrderingError,
     ParameterError,
+    PayoffStructure,
     Signal,
     classify_pair,
     confirmation_report,
@@ -19,6 +20,7 @@ from secondlook import (
     h_set,
     inversion_thresholds,
     pairwise_outcome,
+    pattern_probability,
     polarization_feasible,
     polarization_partners,
     polarization_probability,
@@ -129,8 +131,10 @@ def test_belief_crossing_polarization_route(info, payoffs):
     # exact rational witnesses: 3/17 for the skipper, 3/35 for the acquirer
     assert low == pytest.approx(3 / 17, abs=1e-12)
     assert high == pytest.approx(3 / 35, abs=1e-12)
-    # crossing-only pairs sit outside the in-order closed form
+    # crossing-only pairs sit outside the in-order closed form; the
+    # all-routes enumeration counts them
     assert polarization_probability(0.5, 0.125, 0.2, info, payoffs, 0.05) == 0.0
+    assert pattern_probability("PB", 0.5, 0.125, info, payoffs, 0.05, p_j=0.2) == 0.25
 
 
 def test_belief_crossing_mirror_route(info, payoffs):
@@ -211,6 +215,47 @@ def test_polarization_probability_bound_sampled(payoffs):
         c = float(rng.uniform(0, 0.5))
         p = float(rng.random())
         assert polarization_probability(p, p_i, p_j, info, payoffs, c) <= 0.5 + 1e-12
+
+
+@given(
+    t1=st.floats(0.505, 0.995),
+    t2=st.floats(0.505, 0.995),
+    p_i=st.floats(1e-6, 1 - 1e-6),
+    p_j=st.floats(1e-6, 1 - 1e-6),
+    cost=st.floats(0.0, 0.55),
+    p=st.floats(0.0, 1.0),
+)
+def test_in_order_closed_form_matches_enumeration_without_swaps(t1, t2, p_i, p_j, cost, p):
+    # Without a crossing route the closed form and the all-routes enumeration
+    # count the same polarizing signals under the same product law; exact
+    # cost ties are skipped as sign-meaningless.
+    payoffs = PayoffStructure(1.0, 0.0)
+    info = InformationStructure(t1, t2)
+    p_i, p_j = sorted((p_i, p_j))
+    assume(p_j - p_i >= 1e-9)
+    assume(
+        all(
+            abs(willingness_to_pay(q, info, payoffs, s) - cost) > 1e-9
+            for q in (p_i, p_j)
+            for s in (ALPHA, BETA)
+        )
+    )
+    feas = polarization_feasible(p_i, p_j, info, payoffs, cost)
+    assume(not feas.via_alpha_swap and not feas.via_beta_swap)
+    closed = polarization_probability(p, p_i, p_j, info, payoffs, cost)
+    enumerated = pattern_probability("PB", p, p_i, info, payoffs, cost, p_j=p_j)
+    assert abs(closed - enumerated) <= 1e-15
+
+
+def test_all_routes_probability_bound_sampled(payoffs):
+    # the value polarize prints, crossing routes included, stays at most 1/2
+    rng = np.random.default_rng(10)
+    for _ in range(5000):
+        info = InformationStructure(*(float(t) for t in rng.uniform(0.51, 0.99, 2)))
+        p_i, p_j = sorted(float(x) for x in rng.random(2))
+        c = float(rng.uniform(0, 0.5))
+        p = float(rng.random())
+        assert pattern_probability("PB", p, p_i, info, payoffs, c, p_j=p_j) <= 0.5 + 1e-15
 
 
 def test_polarization_partners_inside_acquisition_interval(info, payoffs):
