@@ -64,9 +64,8 @@ from .patterns import (
     pairwise_outcome,
     polarization_feasible,
     reaction_report,
-    realized_posterior,
 )
-from .sets import PairClass, classify_pair, inversion_thresholds, pair_memberships
+from .sets import PairClass, b_memberships, classify_pair, inversion_thresholds, v_memberships
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -215,7 +214,8 @@ def cmd_sets(config: RunConfig, args) -> int:
     rows = []
     for cost in config.cost_list():
         for i, p_low in enumerate(grid):
-            members = pair_memberships(wtp[i], (alpha[i:], beta[i:]), cost)
+            high = (alpha[i:], beta[i:])
+            members = b_memberships(wtp[i], high, cost) + v_memberships(wtp[i], high)
             rows.extend(zip(repeat(p_low), grid[i:], repeat(cost), *(m.tolist() for m in members)))
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
@@ -239,25 +239,25 @@ def cmd_example(config: RunConfig, args) -> int:
     p_low, p_high = config.priors
     tolerance = args.tolerance if args.tolerance is not None else 0.005
 
+    outcome_ab = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(ALPHA, BETA))
+    outcome_ba = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(BETA, ALPHA))
+    reaction_aa = reaction_report(p_high, info, payoffs, cost, Signal(ALPHA, ALPHA))
     quantities = {
         "posterior_high_after_alpha": posterior_after_first(p_high, info, ALPHA),
         "posterior_low_after_alpha": posterior_after_first(p_low, info, ALPHA),
         "wtp_high_alpha": willingness_to_pay(p_high, info, payoffs, ALPHA),
         "wtp_low_alpha": willingness_to_pay(p_low, info, payoffs, ALPHA),
         "posterior_low_after_alpha_beta": posterior_after_both(p_low, info, ALPHA, BETA),
-        "posterior_high_after_alpha_alpha": posterior_after_both(p_high, info, ALPHA, ALPHA),
+        "posterior_high_after_alpha_alpha": reaction_aa.full_posterior,
         "wtp_high_beta": willingness_to_pay(p_high, info, payoffs, BETA),
         "wtp_low_beta": willingness_to_pay(p_low, info, payoffs, BETA),
     }
-    outcome_ab = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(ALPHA, BETA))
     verdicts = {
         "polarized_alpha_beta": outcome_ab.polarized,
         "confirmatory_high_alpha_beta": confirmation_report(
             p_high, info, payoffs, cost, Signal(ALPHA, BETA)
         ).confirmatory,
-        "underreaction_high_alpha_alpha": reaction_report(
-            p_high, info, payoffs, cost, Signal(ALPHA, ALPHA)
-        ).underreaction,
+        "underreaction_high_alpha_alpha": reaction_aa.underreaction,
     }
     reference_mode = _is_reference_scenario(config)
 
@@ -266,10 +266,9 @@ def cmd_example(config: RunConfig, args) -> int:
                  f"precisions ({info.theta1}, {info.theta2}), cost {cost}")
     lines.append("")
     lines.append("after first component = alpha:")
-    for prior, tag in ((p_high, "high"), (p_low, "low")):
-        post = posterior_after_first(prior, info, ALPHA)
-        wtp = willingness_to_pay(prior, info, payoffs, ALPHA)
-        _, action = realized_posterior(prior, info, payoffs, cost, Signal(ALPHA, BETA))
+    low_ab, high_ab = outcome_ab.acquisitions
+    for tag, prior, action in (("high", p_high, high_ab), ("low", p_low, low_ab)):
+        post, wtp = quantities[f"posterior_{tag}_after_alpha"], quantities[f"wtp_{tag}_alpha"]
         lines.append(
             f"  {tag} prior {prior:.4g}: posterior {post:.4f}, "
             f"willingness to pay {wtp:.4f}, {action.value}s"
@@ -288,17 +287,16 @@ def cmd_example(config: RunConfig, args) -> int:
         f"  high prior {quantities['wtp_high_beta']:.4f}, "
         f"low prior {quantities['wtp_low_beta']:.4f}"
     )
-    for prior, tag in ((p_high, "high"), (p_low, "low")):
-        _, action = realized_posterior(prior, info, payoffs, cost, Signal(BETA, ALPHA))
+    low_ba, high_ba = outcome_ba.acquisitions
+    for tag, action in (("high", high_ba), ("low", low_ba)):
         lines.append(f"  {tag} prior {action.value}s after beta")
     lines.append("")
     lines.append(
         f"high prior at signal (alpha, beta): confirmatory pattern = "
         f"{verdicts['confirmatory_high_alpha_beta']}"
     )
-    realized_aa, _ = realized_posterior(p_high, info, payoffs, cost, Signal(ALPHA, ALPHA))
     lines.append(
-        f"high prior at signal (alpha, alpha): realized belief {realized_aa:.4f}, "
+        f"high prior at signal (alpha, alpha): realized belief {reaction_aa.realized:.4f}, "
         f"full posterior {quantities['posterior_high_after_alpha_alpha']:.4f}; "
         f"underreaction = {verdicts['underreaction_high_alpha_alpha']}"
     )

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidProbabilityError, ParameterError
+from .errors import InvalidProbabilityError, ModelError, ParameterError
 
 
 class StateOfWorld(Enum):
@@ -71,11 +71,13 @@ class InformationStructure:
     theta2: float
 
     def __post_init__(self):
-        for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not 0.5 < _check_real(value, name) < 1.0:
+        for name in ("theta1", "theta2"):
+            value = _check_real(getattr(self, name), name)
+            if not 0.5 < value < 1.0:
                 raise ParameterError(
                     f"{name} must lie strictly between 1/2 and 1, got {value}"
                 )
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ class PayoffStructure:
     u_wrong: float
 
     def __post_init__(self):
-        _check_real(self.u_correct, "u_correct")
-        _check_real(self.u_wrong, "u_wrong")
+        for name in ("u_correct", "u_wrong"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if not self.u_correct - self.u_wrong > 0:
             raise ParameterError(
                 "the premium for guessing correctly must be positive "
@@ -113,24 +115,25 @@ class Scenario:
     priors: tuple[float, ...]
 
     def __post_init__(self):
-        check_cost(self.cost, "processing cost")
+        object.__setattr__(self, "cost", check_cost(self.cost, "processing cost"))
         if len(self.priors) not in (1, 2):
             raise ParameterError("a scenario holds one prior or an ordered pair")
-        for p in self.priors:
-            check_probability(p, "prior")
+        priors = tuple(check_probability(p, "prior") for p in self.priors)
+        object.__setattr__(self, "priors", priors)
         if len(self.priors) == 2 and not self.priors[0] <= self.priors[1]:
             raise ParameterError(
                 f"pair priors must be ordered low <= high, got {self.priors}"
             )
 
 
-def _check_real(value, name: str) -> float:
-    # A finite int or float; bools are ints to Python but not numbers here.
+def _check_real(value, name: str, error: type[ModelError] = ParameterError) -> float:
+    # The one number rule at the API boundary: a finite numbers.Real (numpy
+    # scalars too, Decimal not), as a float; bools are ints but not numbers here.
     if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and math.isfinite(value)
+        isinstance(value, numbers.Real) and math.isfinite(value)
     ):
-        raise ParameterError(f"{name} must be a finite number, got {value!r}")
-    return value
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def check_cost(c: float, name: str = "cost") -> float:
@@ -138,9 +141,10 @@ def check_cost(c: float, name: str = "cost") -> float:
     # The grid checks make millions of calls: settle a plain float first.
     if type(c) is float and 0.0 <= c < math.inf:
         return c
-    if _check_real(c, name) < 0:
+    value = _check_real(c, name)
+    if value < 0:
         raise ParameterError(f"{name} must be >= 0, got {c!r}")
-    return c
+    return value
 
 
 def check_count(n: int, name: str, minimum: int) -> int:
@@ -159,13 +163,8 @@ def check_probability(p: float, name: str = "p") -> float:
     """Validate a probability; NaN, bools, strings and out-of-range values raise."""
     if type(p) is float and 0.0 <= p <= 1.0:  # the fast path, as in check_cost
         return p
-    if isinstance(p, (bool, str, bytes)):
-        raise InvalidProbabilityError(f"{name} must be a number, got {p!r}")
-    try:
-        value = float(p)
-    except (TypeError, ValueError):
-        raise InvalidProbabilityError(f"{name} must be a number, got {p!r}") from None
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
+    value = _check_real(p, name, InvalidProbabilityError)
+    if not 0.0 <= value <= 1.0:
         raise InvalidProbabilityError(f"{name} must lie in [0, 1], got {p!r}")
     return value
 

@@ -51,7 +51,7 @@ from .patterns import (
     reaction_report,
     realized_posterior,
 )
-from .sets import extreme_sets, inversion_thresholds, pair_memberships
+from .sets import b_memberships, extreme_sets, inversion_thresholds
 
 PATTERN_IDS = ("PB", "CB", "DB", "UR", "OR")
 
@@ -395,7 +395,7 @@ def _wtp_by_first(
 # slice, then compare one low prior with all higher ones at a time as numpy
 # rows of the pair triangle, in ``combinations`` order and O(n) memory.  The
 # rows go through the pair laws the scalar API applies to one pair
-# (``pair_memberships``, ``polarization_verdict``, ``polarization_routes``).
+# (``b_memberships``, ``polarization_verdict``, ``polarization_routes``).
 
 
 def _wtp_rows(keep):
@@ -445,7 +445,7 @@ def _polarization(keep, info, payoffs, cost):
     rows = _pair_rows(keep, info, payoffs, cost, strict=True)
     for a, (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) in rows:
         polarized = polarization_verdict(p_i, p_j, post_i[:, None], post_j)[2].any(axis=0)
-        one_sided = pair_memberships(wtp_i, wtp_j, cost)[:4]
+        one_sided = b_memberships(wtp_i, wtp_j, cost)
         crossing = (cross_i[0], cross_j[1], cross_i[2], cross_j[3])
         routes = polarization_routes(more_informative, p_i, p_j, one_sided, crossing)
         feasible = routes[0] | routes[1] | routes[2] | routes[3]
@@ -474,8 +474,7 @@ def _mirrored(keep, info, payoffs, cost):
     # after beta, in ``combinations`` order, with the signal where it shows.
     wtp = _wtp_rows(keep)
     for a, (p_i, w) in enumerate(keep[:-1]):
-        members = pair_memberships((w[ALPHA], w[BETA]), wtp[:, a + 1 :], cost)
-        high_alpha, low_beta = members[2], members[3]
+        _, _, high_alpha, low_beta = b_memberships((w[ALPHA], w[BETA]), wtp[:, a + 1 :], cost)
         for k in np.flatnonzero(high_alpha | low_beta):
             p_j = keep[a + 1 + k][0]
             if high_alpha[k]:

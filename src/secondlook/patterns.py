@@ -45,24 +45,13 @@ from .model import (
     InformationStructure,
     PayoffStructure,
     Signal,
-    SignalComponentValue,
     check_cost,
     check_probability,
     posterior_after_both,
     posterior_after_first,
     signal_law,
 )
-from .sets import ProbabilityInterval, classify_pair, h_set
-
-
-def _acquires(
-    p: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-    cost: float,
-    s1: SignalComponentValue,
-) -> bool:
-    return cost <= willingness_to_pay(p, info, payoffs, s1)
+from .sets import ProbabilityInterval, b_memberships, h_set, v_memberships
 
 
 def realized_posterior(
@@ -79,7 +68,7 @@ def realized_posterior(
     """
     p = check_probability(p)
     cost = check_cost(cost)
-    if _acquires(p, info, payoffs, cost, signal.first):
+    if cost <= willingness_to_pay(p, info, payoffs, signal.first):  # ties acquire
         return (
             posterior_after_both(p, info, signal.first, signal.second),
             AcquisitionAction.ACQUIRE,
@@ -205,14 +194,16 @@ def polarization_feasible(
     if c is not None:
         c = check_cost(c)
     theta_ok = info.theta2 > info.theta1
-    pair = tuple(vars(classify_pair(p_i, p_j, 0.0 if c is None else c, info, payoffs)).values())
+    wtp_i, wtp_j = (
+        tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in (p_i, p_j)
+    )
+    one_sided = v_memberships(wtp_i, wtp_j) if c is None else b_memberships(wtp_i, wtp_j, c)
     crossing = (
         posterior_after_first(p_i, info, ALPHA),
         posterior_after_both(p_j, info, ALPHA, BETA),
         posterior_after_both(p_i, info, BETA, ALPHA),
         posterior_after_first(p_j, info, BETA),
     )
-    one_sided = pair[4:] if c is None else pair[:4]  # PairClass: four B, then four V
     routes = polarization_routes(theta_ok, p_i, p_j, one_sided, crossing)
     return PolarizationFeasibility(any(routes), theta_ok, *routes, cost=c)
 
@@ -318,19 +309,10 @@ def disconfirmation_report(
     cost = check_cost(cost)
     wtp_a = willingness_to_pay(p, info, payoffs, ALPHA)
     wtp_b = willingness_to_pay(p, info, payoffs, BETA)
-    if p > 0.5:
-        tendency = wtp_b > wtp_a
-        exhibits = _acquires(p, info, payoffs, cost, BETA) and not _acquires(
-            p, info, payoffs, cost, ALPHA
-        )
-    elif p < 0.5:
-        tendency = wtp_a > wtp_b
-        exhibits = _acquires(p, info, payoffs, cost, ALPHA) and not _acquires(
-            p, info, payoffs, cost, BETA
-        )
-    else:
-        tendency = False
-        exhibits = False
+    contrary, supportive = (wtp_b, wtp_a) if p > 0.5 else (wtp_a, wtp_b)
+    # Ties acquire, so a cost equal to the contrary willingness still exhibits.
+    tendency = p != 0.5 and contrary > supportive
+    exhibits = p != 0.5 and supportive < cost <= contrary
     return DisconfirmationReport(
         tendency=tendency, exhibits=exhibits, wtp_alpha=wtp_a, wtp_beta=wtp_b
     )

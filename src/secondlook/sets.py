@@ -20,10 +20,13 @@ Two boundary conventions worth knowing:
 For a pair of priors (low, high), the B sets record who acquires at a given
 cost while the other does not, and the V sets record who is strictly more
 willing to pay regardless of cost.  B membership at any cost implies the
-corresponding V membership.  :func:`pair_memberships` states these eight
-comparisons once, on floats and numpy rows alike: :func:`classify_pair`
-feeds it one pair, while ``secondlook sets`` computes each grid prior's
-willingness once and feeds it one low prior against all higher ones.
+corresponding V membership.  Each law is stated once, on floats and numpy
+rows alike: :func:`b_memberships` (the four B sets at a cost) and
+:func:`v_memberships` (the four V orderings).  :func:`classify_pair` reads
+both for one pair, and ``secondlook sets`` reads both for one low prior
+against the row of all higher ones.
+:func:`secondlook.patterns.polarization_feasible` reads V without a cost and
+B with one; the pairwise grid checks read B.
 """
 
 from __future__ import annotations
@@ -243,12 +246,14 @@ class PairClass:
     in_v_low_beta: bool
 
 
-def pair_memberships(wtp_low, wtp_high, c):
-    """The eight B/V memberships, in :class:`PairClass` field order, from willingness.
+def b_memberships(wtp_low, wtp_high, c):
+    """The four B sets at cost ``c``, in :class:`PairClass` field order, from willingness.
 
     ``wtp_low`` and ``wtp_high`` are each prior's (alpha, beta) willingness to
-    pay.  Only comparisons and ``&`` are used, so floats give bools and numpy
-    rows give boolean rows: the one statement of the pair law for both.
+    pay; a B set holds when one prior alone acquires (``c`` at most its
+    willingness) while the other skips.  Only comparisons and ``&`` are used,
+    so floats give bools and numpy rows give boolean rows: the one statement
+    of the law for both.
     """
     (alpha_i, beta_i), (alpha_j, beta_j) = wtp_low, wtp_high
     return (
@@ -256,11 +261,18 @@ def pair_memberships(wtp_low, wtp_high, c):
         (beta_j > c) & (c >= beta_i),
         (alpha_j > c) & (c >= alpha_i),
         (beta_i > c) & (c >= beta_j),
-        alpha_i > alpha_j,
-        beta_j > beta_i,
-        alpha_j > alpha_i,
-        beta_i > beta_j,
     )
+
+
+def v_memberships(wtp_low, wtp_high):
+    """The four V orderings, in :class:`PairClass` field order, from willingness.
+
+    Which prior is strictly more willing to pay after each first component,
+    whatever the cost; floats give bools and numpy rows give rows, as in
+    :func:`b_memberships`.
+    """
+    (alpha_i, beta_i), (alpha_j, beta_j) = wtp_low, wtp_high
+    return alpha_i > alpha_j, beta_j > beta_i, alpha_j > alpha_i, beta_i > beta_j
 
 
 def classify_pair(
@@ -281,8 +293,10 @@ def classify_pair(
     if p_i > p_j:
         raise OrderingError(f"pair priors must satisfy p_i <= p_j, got ({p_i}, {p_j})")
     c = check_cost(c)
-    wtp = [willingness_to_pay(p, info, payoffs, s1) for p in (p_i, p_j) for s1 in (ALPHA, BETA)]
-    return PairClass(*pair_memberships(wtp[:2], wtp[2:], c))
+    low, high = (
+        tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in (p_i, p_j)
+    )
+    return PairClass(*b_memberships(low, high, c), *v_memberships(low, high))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -19,6 +20,28 @@ def run_cli(capsys, *args):
 
 def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+# SHA-256 of stdout: a change that moves one byte of these outputs fails here.
+# The partition, polarize, sets and wtp digests are the ones perfbench records.
+STDOUT_SHA256 = {
+    ("partition",): "c5e1a6ae9c782488ff527c2d32933de6caf0cb80f4071caa0846d02eae18e38b",
+    ("polarize",): "4cf2cfd35af52ca984dac122805693c8934e842ebad0f29e5e2856062c23d699",
+    ("example",): "6abe555eaa68b4eeba85c4d3f113daed0bc01bcef50bbd3941bccf43017af9a4",
+    ("sets", "--grid", "9", "--costs", "0.05,0.1,0.2"): (
+        "1c785154067d327e63004451d9b63e6906a225b3a7a7b22d3093b8a71a469d45"
+    ),
+    ("wtp", "--grid", "101", "--format", "json"): (
+        "a63800661d47b4f6021314ca89dbee34f161c091e51ebc4d24b4f5bae7ac0815"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", STDOUT_SHA256, ids=" ".join)
+def test_stdout_is_byte_identical(capsys, args):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[args]
 
 
 def test_wtp_sweep_reference_rows(capsys):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from secondlook import (
     posterior_after_first,
     signal_law,
 )
-from secondlook.model import check_probability
+from secondlook.model import check_cost, check_probability
 from secondlook.oracle import _signal_counts
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -151,6 +152,32 @@ def test_invalid_probabilities_rejected(info, bad):
 @pytest.mark.parametrize("value", [np.float64(0.3), np.float32(0.25), np.int64(1)])
 def test_numpy_scalar_probabilities_accepted(value):
     assert check_probability(value) == float(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(0), np.float32(0.25)], ids=repr)
+def test_numpy_scalar_costs_and_payoffs_accepted_as_floats(value):
+    cost = check_cost(value)
+    assert type(cost) is float and cost == float(value)
+    payoffs = PayoffStructure(np.int64(1), value)
+    assert type(payoffs.u_correct) is float and type(payoffs.u_wrong) is float
+    assert payoffs.delta_u == 1.0 - float(value)
+    scenario = Scenario(InformationStructure(0.6, 0.8), payoffs, value, (value, np.float32(0.75)))
+    assert type(scenario.cost) is float
+    assert [type(p) for p in scenario.priors] == [float, float]
+
+
+def test_numpy_scalar_precisions_stored_as_floats():
+    # Else a float32 precision would carry float32 arithmetic into every formula.
+    info = InformationStructure(np.float32(0.6), np.float64(0.8))
+    assert type(info.theta1) is float and type(info.theta2) is float
+    assert info == InformationStructure(float(np.float32(0.6)), 0.8)
+
+
+def test_decimal_rejected_as_probability_and_cost():
+    with pytest.raises(InvalidProbabilityError):
+        check_probability(Decimal("0.3"))
+    with pytest.raises(ParameterError):
+        check_cost(Decimal("0.1"))
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 0.3, 1.2, float("nan")])

@@ -29,9 +29,9 @@ from secondlook import (
     polarization_probability,
     willingness_to_pay,
 )
-from secondlook import oracle
+from secondlook import incentives, oracle
 from secondlook.patterns import polarization_routes, polarization_verdict
-from secondlook.sets import pair_memberships
+from secondlook.sets import b_memberships
 
 SMALL_GRID = default_prior_grid(21)
 
@@ -41,6 +41,21 @@ def test_brute_force_voi_matches_reference(info, payoffs):
     assert brute_force_voi(0.3, info, payoffs, ALPHA) == pytest.approx(
         willingness_to_pay(0.3, info, payoffs, ALPHA), abs=1e-10
     )
+
+
+def test_voi_oracle_is_independent_of_the_formulas_it_checks(monkeypatch, info, payoffs):
+    def closed_form(*args):
+        raise AssertionError("the VOI oracle reached a closed-form formula")
+
+    for module in (incentives, oracle):
+        for name in ("willingness_to_pay", "case_thresholds"):
+            monkeypatch.setattr(module, name, closed_form)
+    # The reference willingness: 1/45 (about 0.0222) and 22/115 (about 0.1913).
+    for p, reference in ((0.7, 1 / 45), (0.3, 22 / 115)):
+        assert brute_force_voi(p, info, payoffs, ALPHA) == pytest.approx(reference, abs=1e-12)
+        entries = outcome_table(p, info, payoffs, ALPHA).entries
+        gain = sum(e.joint * (e.utility_acquire - e.utility_skip) for e in entries)
+        assert gain == pytest.approx(reference, abs=1e-12)
 
 
 def test_brute_force_voi_zero_when_guess_never_flips(info, payoffs):
@@ -305,7 +320,7 @@ def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
                 info.theta2 > info.theta1,
                 p_i,
                 p_j,
-                pair_memberships(wtp_i, wtp_j, cost)[:4],
+                b_memberships(wtp_i, wtp_j, cost),
                 (cross_i[0], cross_j[1], cross_i[2], cross_j[3]),
             )
             feasible = np.logical_or.reduce(routes)

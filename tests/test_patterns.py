@@ -351,6 +351,19 @@ def test_disconfirmation_low_prior_mirror(info, payoffs):
     assert report.wtp_alpha > 0.1 > report.wtp_beta
 
 
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_disconfirmation_at_exact_ties(info, payoffs, p):
+    # Ties acquire: a cost equal to the contrary willingness still separates
+    # the two decisions, a cost equal to the supportive one does not.
+    report = disconfirmation_report(p, info, payoffs, 0.1)
+    contrary, supportive = (
+        (report.wtp_beta, report.wtp_alpha) if p > 0.5 else (report.wtp_alpha, report.wtp_beta)
+    )
+    assert contrary > supportive > 0.0
+    assert disconfirmation_report(p, info, payoffs, contrary).exhibits
+    assert not disconfirmation_report(p, info, payoffs, supportive).exhibits
+
+
 def test_confirmation_reference(info, payoffs):
     report = confirmation_report(0.7, info, payoffs, 0.1, Signal(ALPHA, BETA))
     assert report.confirmatory and not report.disproving

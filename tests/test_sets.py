@@ -23,7 +23,7 @@ from secondlook import (
     reciprocity_report,
     willingness_to_pay,
 )
-from secondlook.sets import pair_memberships
+from secondlook.sets import b_memberships, v_memberships
 
 
 def _random_structures(rng, n):
@@ -275,16 +275,19 @@ WTP = st.tuples(TIE_PRONE, TIE_PRONE)  # (alpha, beta)
 
 @given(pairs=st.lists(st.tuples(WTP, WTP), min_size=1, max_size=8), c=TIE_PRONE)
 def test_pair_memberships_on_rows_equal_their_float_values(pairs, c):
-    on_floats = [pair_memberships(low, high, c) for low, high in pairs]
+    def memberships(low, high):  # both laws, in PairClass field order
+        return b_memberships(low, high, c) + v_memberships(low, high)
+
+    on_floats = [memberships(low, high) for low, high in pairs]
     assert all(type(m) is bool for row in on_floats for m in row)
     low, high = (np.array(side).T for side in zip(*pairs))
-    rows = pair_memberships(low, high, c)
+    rows = memberships(low, high)
     assert [m.tolist() for m in rows] == [list(col) for col in zip(*on_floats)]
     # one low prior against a row of higher ones, as ``secondlook sets`` calls it
     first = pairs[0][0]
-    rows = pair_memberships(first, high, c)
+    rows = memberships(first, high)
     assert [m.tolist() for m in rows] == [
-        list(col) for col in zip(*(pair_memberships(first, j, c) for _, j in pairs))
+        list(col) for col in zip(*(memberships(first, j) for _, j in pairs))
     ]
 
 
