@@ -39,6 +39,7 @@ from .model import (
     PayoffStructure,
     Scenario,
     SignalComponentValue,
+    check_count,
     check_probability,
 )
 
@@ -77,7 +78,7 @@ def case_interval(case: int, info: InformationStructure) -> tuple[float, float]:
         8: (hi_b, 1.0),
     }
     try:
-        return intervals[case]
+        return intervals[check_count(case, "case", 1)]
     except KeyError:
         raise ParameterError(f"case must be in 1..8, got {case}") from None
 

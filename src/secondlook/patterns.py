@@ -227,7 +227,7 @@ def polarization_probability(
     ``pattern_probability("PB", ...)`` counts every route.
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
-    feas = polarization_feasible(p_i, p_j, info, payoffs, c)
+    feas = polarization_feasible(p_i, p_j, info, payoffs, check_cost(c))
     _, alpha_beta, beta_alpha, _ = signal_law(p_subjective, info, "product")
     return (alpha_beta if feas.via_alpha else 0.0) + (beta_alpha if feas.via_beta else 0.0)
 

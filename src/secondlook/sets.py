@@ -18,7 +18,8 @@ Two boundary conventions worth knowing:
   a strictly higher willingness, so H(c) is empty there.
 
 For a pair of priors (low, high), the B sets record who acquires at a given
-cost while the other does not, and the V sets record who is strictly more
+cost while the other does not, by the one acquisition rule (ties acquire), so
+at cost 0 no prior acquires alone.  The V sets record who is strictly more
 willing to pay regardless of cost.  B membership at any cost implies the
 corresponding V membership.  Each law is stated once, on floats and numpy
 rows alike: :func:`b_memberships` (the four B sets at a cost) and
@@ -251,16 +252,18 @@ def b_memberships(wtp_low, wtp_high, c):
 
     ``wtp_low`` and ``wtp_high`` are each prior's (alpha, beta) willingness to
     pay; a B set holds when one prior alone acquires (``c`` at most its
-    willingness) while the other skips.  Only comparisons and ``&`` are used,
+    willingness, so ties acquire, as in
+    :func:`secondlook.patterns.realized_posterior`) while the other skips
+    (``c`` above its willingness).  Only comparisons and ``&`` are used,
     so floats give bools and numpy rows give boolean rows: the one statement
     of the law for both.
     """
     (alpha_i, beta_i), (alpha_j, beta_j) = wtp_low, wtp_high
     return (
-        (alpha_i > c) & (c >= alpha_j),
-        (beta_j > c) & (c >= beta_i),
-        (alpha_j > c) & (c >= alpha_i),
-        (beta_i > c) & (c >= beta_j),
+        (c <= alpha_i) & (alpha_j < c),
+        (c <= beta_j) & (beta_i < c),
+        (c <= alpha_j) & (alpha_i < c),
+        (c <= beta_i) & (beta_j < c),
     )
 
 
@@ -284,9 +287,9 @@ def classify_pair(
 ) -> PairClass:
     """All eight B/V memberships for the ordered pair ``p_i <= p_j`` at cost ``c``.
 
-    B membership uses the strict willingness comparison against the cost on
-    the acquiring side and its negation on the other, so B at cost ``c``
-    always implies the matching V membership.
+    B membership reads the acquisition rule: the acquiring prior's
+    willingness is at least the cost and the other's falls short of it, so B
+    at cost ``c`` always implies the matching V membership.
     """
     p_i = check_probability(p_i, "p_i")
     p_j = check_probability(p_j, "p_j")

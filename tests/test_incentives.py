@@ -8,6 +8,7 @@ from secondlook import (
     BETA,
     AcquisitionAction,
     InformationStructure,
+    ParameterError,
     PayoffStructure,
     Scenario,
     acquisition_decision,
@@ -40,6 +41,12 @@ def test_case_intervals_reference(info):
     lo6, hi6 = case_interval(6, info)
     assert lo6 == pytest.approx(3 / 11, abs=1e-12)
     assert hi6 == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", 0, 9], ids=repr)
+def test_case_interval_takes_an_integer_case(info, bad):
+    with pytest.raises(ParameterError):
+        case_interval(bad, info)
 
 
 def test_case_intervals_tile_unit_interval(info):

@@ -27,6 +27,7 @@ from secondlook import (
     pattern_probability,
     polarization_feasible,
     polarization_probability,
+    reaction_report,
     willingness_to_pay,
 )
 from secondlook import incentives, oracle
@@ -112,6 +113,16 @@ def test_mc_polarization_agrees_with_closed_form(info, payoffs):
     assert estimate.standard_error == pytest.approx(
         np.sqrt(estimate.frequency * (1 - estimate.frequency) / estimate.draws)
     )
+
+
+def test_mc_polarization_at_the_crossing_pair_across_seeds(info, payoffs):
+    # (0.125, 0.2) polarizes only by crossing: the all-routes value is 1/4
+    assert pattern_probability("PB", 0.5, 0.125, info, payoffs, 0.05, p_j=0.2) == 0.25
+    for seed in range(10):
+        estimate = mc_pattern_frequency(
+            "PB", 0.5, 0.125, info, payoffs, 0.05, 200_000, seed, p_j=0.2
+        )
+        assert estimate.within(0.25, 4.0), (seed, estimate.frequency)
 
 
 def test_mc_polarization_impossible_when_second_weaker(payoffs):
@@ -251,6 +262,22 @@ def test_grid_checker_catches_perturbed_willingness(monkeypatch, check, offset):
     )
     violations = grid_theorem_check(check, priors=SMALL_GRID)
     assert (len(violations) > 0) == (offset != 0.0)
+
+
+def test_grid_checks_evaluate_cost_ties(monkeypatch):
+    # The extreme priors are willing to pay 0, exactly the cost: a tie, which
+    # acquires, is evaluated like any other point.
+    seen = []
+
+    def recording(p, *args):
+        seen.append(p)
+        return reaction_report(p, *args)
+
+    monkeypatch.setattr("secondlook.oracle.reaction_report", recording)
+    priors = [1e-7, 0.5, 1 - 1e-7]
+    violations = grid_theorem_check("reaction", priors=priors, thetas=((0.6, 0.8),), costs=(0.0,))
+    assert violations == []
+    assert sorted(set(seen)) == priors
 
 
 def test_mirrored_no_divergence_diagnostic_reports_crossings():

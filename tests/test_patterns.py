@@ -19,6 +19,7 @@ from secondlook import (
     disconfirmation_report,
     h_set,
     inversion_thresholds,
+    max_willingness_to_pay,
     pairwise_outcome,
     pattern_probability,
     polarization_feasible,
@@ -177,9 +178,15 @@ def test_polarization_probability_zero_when_infeasible(payoffs):
     assert polarization_probability(0.5, 0.3, 0.7, info, payoffs, 0.1) == 0.0
 
 
+def _polarizes(p_i, p_j, info, payoffs, cost):
+    return any(
+        pairwise_outcome(p_i, p_j, info, payoffs, cost, s).polarized for s in ALL_SIGNALS
+    )
+
+
 def test_feasibility_matches_realized_polarization_randomized(payoffs):
     # randomized counterpart of the grid equivalence check, both precision
-    # orders, seeded; exact cost ties are skipped as sign-meaningless
+    # orders, seeded
     rng = np.random.default_rng(123)
     for _ in range(20_000):
         info = InformationStructure(
@@ -189,18 +196,31 @@ def test_feasibility_matches_realized_polarization_randomized(payoffs):
         if p_j - p_i < 1e-9:
             continue
         cost = float(rng.uniform(0.0, 0.55))
-        if any(
-            abs(willingness_to_pay(p, info, payoffs, s) - cost) <= 1e-9
-            for p in (p_i, p_j)
-            for s in (ALPHA, BETA)
-        ):
-            continue
         feasible = polarization_feasible(p_i, p_j, info, payoffs, cost).feasible
-        realized = any(
-            pairwise_outcome(p_i, p_j, info, payoffs, cost, s).polarized
-            for s in ALL_SIGNALS
-        )
-        assert feasible == realized, (info, p_i, p_j, cost)
+        assert feasible == _polarizes(p_i, p_j, info, payoffs, cost), (info, p_i, p_j, cost)
+
+
+def test_feasibility_matches_realized_polarization_at_ties(info, payoffs):
+    # At cost 0 both priors acquire, and at the high prior's own willingness
+    # it acquires too: no signal polarizes, and feasibility must say so.
+    tie = willingness_to_pay(0.7, info, payoffs, ALPHA)
+    for p_i, p_j, cost in ((0.3, 0.7, tie), (0.3, 0.75, 0.0)):
+        feas = polarization_feasible(p_i, p_j, info, payoffs, cost)
+        assert not feas.feasible and not _polarizes(p_i, p_j, info, payoffs, cost)
+    assert not classify_pair(0.0, 0.15, 0.0, info, payoffs).in_b_high_alpha
+
+
+def test_feasibility_matches_realized_polarization_at_the_h_set_edge(info, payoffs):
+    # p_j on the upper end of H(c): its closed-form willingness often equals c
+    # in float, a tie that acquires.
+    rng = np.random.default_rng(5)
+    for cost in rng.uniform(0.0, max_willingness_to_pay(info, payoffs), 2_000).tolist():
+        h_alpha = h_set(cost, info, payoffs, ALPHA)
+        if h_alpha.empty:
+            continue
+        p_i, p_j = (h_alpha.lower + h_alpha.upper) / 2.0, h_alpha.upper
+        feasible = polarization_feasible(p_i, p_j, info, payoffs, cost).feasible
+        assert feasible == _polarizes(p_i, p_j, info, payoffs, cost), cost
 
 
 def test_polarization_probability_bound_sampled(payoffs):
@@ -227,19 +247,11 @@ def test_polarization_probability_bound_sampled(payoffs):
 )
 def test_in_order_closed_form_matches_enumeration_without_swaps(t1, t2, p_i, p_j, cost, p):
     # Without a crossing route the closed form and the all-routes enumeration
-    # count the same polarizing signals under the same product law; exact
-    # cost ties are skipped as sign-meaningless.
+    # count the same polarizing signals under the same product law.
     payoffs = PayoffStructure(1.0, 0.0)
     info = InformationStructure(t1, t2)
     p_i, p_j = sorted((p_i, p_j))
     assume(p_j - p_i >= 1e-9)
-    assume(
-        all(
-            abs(willingness_to_pay(q, info, payoffs, s) - cost) > 1e-9
-            for q in (p_i, p_j)
-            for s in (ALPHA, BETA)
-        )
-    )
     feas = polarization_feasible(p_i, p_j, info, payoffs, cost)
     assume(not feas.via_alpha_swap and not feas.via_beta_swap)
     closed = polarization_probability(p, p_i, p_j, info, payoffs, cost)
@@ -425,6 +437,9 @@ COST_TAKERS = {
     "disconfirmation_report": lambda c, info, payoffs: disconfirmation_report(
         0.7, info, payoffs, c
     ),
+    "polarization_probability": lambda c, info, payoffs: polarization_probability(
+        0.5, 0.3, 0.7, info, payoffs, c
+    ),
 }
 
 
@@ -433,6 +448,12 @@ COST_TAKERS = {
 def test_cost_must_be_a_finite_number(info, payoffs, take, bad):
     with pytest.raises(ParameterError):
         take(bad, info, payoffs)
+
+
+def test_polarization_probability_requires_a_cost(info, payoffs):
+    # None is polarization_feasible's cost-free reading, not a cost
+    with pytest.raises(ParameterError):
+        polarization_probability(0.5, 0.3, 0.7, info, payoffs, None)
 
 
 # Few distinct values, so beliefs tie with each other and with the priors.

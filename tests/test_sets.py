@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from secondlook import (
     ALPHA,
     BETA,
+    AcquisitionAction,
     ExtremeBeliefError,
     InformationStructure,
     OrderingError,
     ParameterError,
     PayoffStructure,
     ProbabilityInterval,
+    Signal,
     classify_pair,
     extreme_sets,
     h_set,
@@ -21,6 +23,7 @@ from secondlook import (
     max_willingness_to_pay,
     reciprocal_partner,
     reciprocity_report,
+    realized_posterior,
     willingness_to_pay,
 )
 from secondlook.sets import b_memberships, v_memberships
@@ -289,6 +292,38 @@ def test_pair_memberships_on_rows_equal_their_float_values(pairs, c):
     assert [m.tolist() for m in rows] == [
         list(col) for col in zip(*(memberships(first, j) for _, j in pairs))
     ]
+
+
+PRIOR = st.sampled_from([0.0, 0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.0])
+
+
+@given(
+    priors=st.tuples(PRIOR, PRIOR),
+    thetas=st.sampled_from([(0.6, 0.8), (0.8, 0.6), (0.7, 0.7), (0.55, 0.9)]),
+    pick=st.integers(0, 6),
+)
+def test_b_sets_read_the_acquisition_rule(priors, thetas, pick):
+    # One tie rule: a B set holds exactly when its prior acquires and the other
+    # skips, at cost 0 and at each prior's own willingness too.
+    info, payoffs = InformationStructure(*thetas), PayoffStructure(1.0, 0.0)
+    p_i, p_j = sorted(priors)
+    costs = [0.0, 0.05, 0.2] + [
+        willingness_to_pay(p, info, payoffs, s1) for p in (p_i, p_j) for s1 in (ALPHA, BETA)
+    ]
+    c = costs[pick]
+
+    def acquires(p, first):
+        _, action = realized_posterior(p, info, payoffs, c, Signal(first, first))
+        return action is AcquisitionAction.ACQUIRE
+
+    pair = classify_pair(p_i, p_j, c, info, payoffs)
+    for acquirer, other, first, member in (
+        (p_i, p_j, ALPHA, pair.in_b_low_alpha),
+        (p_j, p_i, BETA, pair.in_b_high_beta),
+        (p_j, p_i, ALPHA, pair.in_b_high_alpha),
+        (p_i, p_j, BETA, pair.in_b_low_beta),
+    ):
+        assert member == (acquires(acquirer, first) and not acquires(other, first))
 
 
 def test_reciprocity_report_for_matched_willingness(info, payoffs):
