@@ -71,7 +71,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATIONS = 2
 
-#: Reference values of the built-in worked example, rounded to two decimals.
+#: The worked example's reference values at ``DEFAULT_CONFIG``: quantities
+#: rounded to two decimals, checked within the tolerance, then exact verdicts.
 REFERENCE_CHECKS = (
     ("posterior_high_after_alpha", 0.78),
     ("posterior_low_after_alpha", 0.39),
@@ -81,6 +82,9 @@ REFERENCE_CHECKS = (
     ("posterior_high_after_alpha_alpha", 0.93),
     ("wtp_high_beta", 0.19),
     ("wtp_low_beta", 0.02),
+    ("polarized_alpha_beta", True),
+    ("confirmatory_high_alpha_beta", True),
+    ("underreaction_high_alpha_alpha", True),
 )
 
 
@@ -205,29 +209,21 @@ def cmd_partition(config: RunConfig, args) -> int:
 def cmd_sets(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     grid = np.linspace(0.0, 1.0, config.grid).tolist()
-    # Each prior's willingness once per run, then one low prior against the
-    # row of all priors from it on per cost; tolist() keeps cells Python bools.
+    # Each prior's willingness, and each low prior's row of all priors from it
+    # on with its V memberships, once per run; tolist() keeps cells Python bools.
     wtp = [tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in grid]
     alpha, beta = np.array(wtp).T
+    highs = [(alpha[i:], beta[i:]) for i in range(len(grid))]
+    v_rows = [v_memberships(low, high) for low, high in zip(wtp, highs)]
     columns = ["p_low", "p_high", "cost"]
     columns += [f.name.removeprefix("in_") for f in fields(PairClass)]
     rows = []
     for cost in config.cost_list():
         for i, p_low in enumerate(grid):
-            high = (alpha[i:], beta[i:])
-            members = b_memberships(wtp[i], high, cost) + v_memberships(wtp[i], high)
+            members = b_memberships(wtp[i], highs[i], cost) + v_rows[i]
             rows.extend(zip(repeat(p_low), grid[i:], repeat(cost), *(m.tolist() for m in members)))
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
-
-
-def _is_reference_scenario(config: RunConfig) -> bool:
-    return (
-        (config.theta1, config.theta2) == (0.6, 0.8)
-        and (config.u_correct, config.u_wrong) == (1.0, 0.0)
-        and config.cost == 0.1
-        and config.priors == (0.3, 0.7)
-    )
 
 
 def cmd_example(config: RunConfig, args) -> int:
@@ -242,7 +238,7 @@ def cmd_example(config: RunConfig, args) -> int:
     outcome_ab = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(ALPHA, BETA))
     outcome_ba = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(BETA, ALPHA))
     reaction_aa = reaction_report(p_high, info, payoffs, cost, Signal(ALPHA, ALPHA))
-    quantities = {
+    values = {
         "posterior_high_after_alpha": posterior_after_first(p_high, info, ALPHA),
         "posterior_low_after_alpha": posterior_after_first(p_low, info, ALPHA),
         "wtp_high_alpha": willingness_to_pay(p_high, info, payoffs, ALPHA),
@@ -251,15 +247,16 @@ def cmd_example(config: RunConfig, args) -> int:
         "posterior_high_after_alpha_alpha": reaction_aa.full_posterior,
         "wtp_high_beta": willingness_to_pay(p_high, info, payoffs, BETA),
         "wtp_low_beta": willingness_to_pay(p_low, info, payoffs, BETA),
-    }
-    verdicts = {
         "polarized_alpha_beta": outcome_ab.polarized,
         "confirmatory_high_alpha_beta": confirmation_report(
             p_high, info, payoffs, cost, Signal(ALPHA, BETA)
         ).confirmatory,
         "underreaction_high_alpha_alpha": reaction_aa.underreaction,
     }
-    reference_mode = _is_reference_scenario(config)
+    reference_mode = all(
+        getattr(config, name) == getattr(DEFAULT_CONFIG, name)
+        for name in ("theta1", "theta2", "u_correct", "u_wrong", "cost", "priors")
+    )
 
     lines = []
     lines.append(f"worked example: priors ({p_low}, {p_high}), "
@@ -268,14 +265,14 @@ def cmd_example(config: RunConfig, args) -> int:
     lines.append("after first component = alpha:")
     low_ab, high_ab = outcome_ab.acquisitions
     for tag, prior, action in (("high", p_high, high_ab), ("low", p_low, low_ab)):
-        post, wtp = quantities[f"posterior_{tag}_after_alpha"], quantities[f"wtp_{tag}_alpha"]
+        post, wtp = values[f"posterior_{tag}_after_alpha"], values[f"wtp_{tag}_alpha"]
         lines.append(
             f"  {tag} prior {prior:.4g}: posterior {post:.4f}, "
             f"willingness to pay {wtp:.4f}, {action.value}s"
         )
     lines.append(
         f"  full posterior after (alpha, beta) at the low prior: "
-        f"{quantities['posterior_low_after_alpha_beta']:.4f}"
+        f"{values['posterior_low_after_alpha_beta']:.4f}"
     )
     lines.append(
         f"  divergence {outcome_ab.divergence:.4f}, inversion {outcome_ab.inversion:.4f}, "
@@ -284,8 +281,8 @@ def cmd_example(config: RunConfig, args) -> int:
     lines.append("")
     lines.append("after first component = beta (willingness swaps):")
     lines.append(
-        f"  high prior {quantities['wtp_high_beta']:.4f}, "
-        f"low prior {quantities['wtp_low_beta']:.4f}"
+        f"  high prior {values['wtp_high_beta']:.4f}, "
+        f"low prior {values['wtp_low_beta']:.4f}"
     )
     low_ba, high_ba = outcome_ba.acquisitions
     for tag, action in (("high", high_ba), ("low", low_ba)):
@@ -293,12 +290,12 @@ def cmd_example(config: RunConfig, args) -> int:
     lines.append("")
     lines.append(
         f"high prior at signal (alpha, beta): confirmatory pattern = "
-        f"{verdicts['confirmatory_high_alpha_beta']}"
+        f"{values['confirmatory_high_alpha_beta']}"
     )
     lines.append(
         f"high prior at signal (alpha, alpha): realized belief {reaction_aa.realized:.4f}, "
-        f"full posterior {quantities['posterior_high_after_alpha_alpha']:.4f}; "
-        f"underreaction = {verdicts['underreaction_high_alpha_alpha']}"
+        f"full posterior {values['posterior_high_after_alpha_alpha']:.4f}; "
+        f"underreaction = {values['underreaction_high_alpha_alpha']}"
     )
     lines.append("")
 
@@ -306,22 +303,13 @@ def cmd_example(config: RunConfig, args) -> int:
     if reference_mode:
         lines.append(f"reference checks (tolerance {tolerance:g}):")
         for name, expected in REFERENCE_CHECKS:
-            actual = quantities[name]
-            ok = abs(actual - expected) <= tolerance
+            actual = values[name]
+            if isinstance(expected, bool):
+                ok, shown = actual == expected, f"{actual} vs {expected}"
+            else:
+                ok, shown = abs(actual - expected) <= tolerance, f"{actual:.4f} vs {expected:.2f}"
             failures += 0 if ok else 1
-            lines.append(
-                f"  {'ok  ' if ok else 'FAIL'} {name}: {actual:.4f} vs {expected:.2f}"
-            )
-        for name, expected in (
-            ("polarized_alpha_beta", True),
-            ("confirmatory_high_alpha_beta", True),
-            ("underreaction_high_alpha_alpha", True),
-        ):
-            ok = verdicts[name] == expected
-            failures += 0 if ok else 1
-            lines.append(
-                f"  {'ok  ' if ok else 'FAIL'} {name}: {verdicts[name]} vs {expected}"
-            )
+            lines.append(f"  {'ok  ' if ok else 'FAIL'} {name}: {shown}")
         lines.append("")
         lines.append(
             "all reference checks passed" if failures == 0 else f"{failures} check(s) FAILED"
@@ -435,8 +423,15 @@ def cmd_simulate(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _verify_invariants(config: RunConfig, tolerance: float, lines) -> int:
-    """Sampled invariant suite; returns the number of violations found."""
+def _status(violations: int) -> str:
+    return "ok" if violations == 0 else f"{violations} violations"
+
+
+def _verify_invariants(config: RunConfig, tolerance: float):
+    """Sampled invariant suites: yield each suite's label and violation count.
+
+    The suites share one seeded rng, so they must run in this order.
+    """
     info, payoffs = config.info(), config.payoffs()
     rng = np.random.default_rng(config.seed)
     bad = 0
@@ -446,9 +441,7 @@ def _verify_invariants(config: RunConfig, tolerance: float, lines) -> int:
     second_step = InformationStructure(info.theta2, info.theta2)
     for _ in range(2000):
         p = float(rng.random())
-        chained = posterior_after_first(
-            posterior_after_first(p, info, ALPHA), second_step, BETA
-        )
+        chained = posterior_after_first(posterior_after_first(p, info, ALPHA), second_step, BETA)
         direct = posterior_after_both(p, info, ALPHA, BETA)
         if abs(chained - direct) > 1e-12:
             bad += 1
@@ -458,22 +451,15 @@ def _verify_invariants(config: RunConfig, tolerance: float, lines) -> int:
         )
         if abs(mart - p) > 1e-12:
             bad += 1
-    lines.append(f"updating identities: {'ok' if bad == 0 else f'{bad} violations'}")
+    yield "updating identities", bad
 
     # Closed-form willingness to pay against the brute-force enumeration.
-    voi_bad = 0
-    for p in default_prior_grid(101):
-        for s1 in (ALPHA, BETA):
-            gap = abs(
-                willingness_to_pay(float(p), info, payoffs, s1)
-                - brute_force_voi(float(p), info, payoffs, s1)
-            )
-            if gap > tolerance:
-                voi_bad += 1
-    lines.append(
-        f"value-of-information agreement: {'ok' if voi_bad == 0 else f'{voi_bad} violations'}"
+    gaps = (
+        abs(willingness_to_pay(p, info, payoffs, s1) - brute_force_voi(p, info, payoffs, s1))
+        for p in default_prior_grid(101).tolist()
+        for s1 in (ALPHA, BETA)
     )
-    bad += voi_bad
+    yield "value-of-information agreement", sum(gap > tolerance for gap in gaps)
 
     # Acquisition-interval endpoints invert the cost function.
     inv_bad = 0
@@ -484,10 +470,7 @@ def _verify_invariants(config: RunConfig, tolerance: float, lines) -> int:
             for q in inversion_thresholds(c, info, payoffs, s1):
                 if abs(willingness_to_pay(q, info, payoffs, s1) - c) > 1e-9:
                     inv_bad += 1
-    lines.append(
-        f"threshold inversion: {'ok' if inv_bad == 0 else f'{inv_bad} violations'}"
-    )
-    bad += inv_bad
+    yield "threshold inversion", inv_bad
 
     # One-sided acquisition at a cost implies the strict willingness ordering.
     pair_bad = 0
@@ -503,12 +486,7 @@ def _verify_invariants(config: RunConfig, tolerance: float, lines) -> int:
         )
         if not implied:
             pair_bad += 1
-    lines.append(
-        f"one-sided acquisition implies willingness ordering: "
-        f"{'ok' if pair_bad == 0 else f'{pair_bad} violations'}"
-    )
-    bad += pair_bad
-    return bad
+    yield "one-sided acquisition implies willingness ordering", pair_bad
 
 
 def cmd_verify(config: RunConfig, args) -> int:
@@ -516,6 +494,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else 1e-10
     lines = []
     violations = []
+    total = 0
     thetas = list(DEFAULT_THETAS)
     if (config.theta1, config.theta2) not in thetas:
         thetas.append((config.theta1, config.theta2))
@@ -523,30 +502,26 @@ def cmd_verify(config: RunConfig, args) -> int:
     costs = config.costs if config.costs is not None else DEFAULT_COSTS
     for check in ALL_CHECKS:
         found = grid_theorem_check(
-            check,
-            priors=priors,
-            thetas=thetas,
-            costs=costs,
-            payoffs=config.payoffs(),
+            check, priors=priors, thetas=thetas, costs=costs, payoffs=config.payoffs()
         )
         violations.extend(found)
-        lines.append(f"{check}: {'ok' if not found else f'{len(found)} violations'}")
-
-    invariant_bad = _verify_invariants(config, tolerance, lines)
+        total += len(found)
+        lines.append(f"{check}: {_status(len(found))}")
+    for label, bad in _verify_invariants(config, tolerance):
+        total += bad
+        lines.append(f"{label}: {_status(bad)}")
 
     # Monte Carlo section: seeded, deterministic for a fixed seed.
-    mc_bad = 0
     if len(config.priors) == 2 and config.subjective_p is not None:
         estimate, analytic = _simulated_pattern(config, "PB", config.subjective_p, args.draws)
         ok = estimate.within(analytic, 4.0)
-        mc_bad += 0 if ok else 1
+        total += 0 if ok else 1
         lines.append(
             f"simulation agreement (PB, {args.draws} draws, seed {config.seed}): "
             f"frequency {estimate.frequency:.6f} vs analytic {analytic:.6f} "
             f"-> {'ok' if ok else 'VIOLATION'}"
         )
 
-    total = len(violations) + invariant_bad + mc_bad
     elapsed = time.perf_counter() - started
     lines.append(f"verification {'passed' if total == 0 else 'FAILED'} "
                  f"({total} violations, {elapsed:.1f}s)")

@@ -53,7 +53,7 @@ def case_thresholds(info: InformationStructure, s1: SignalComponentValue) -> tup
     """Interior case boundaries for one first-component value, in increasing order.
 
     For alpha the boundaries separate cases (4|3), (3|2), (2|1); for beta,
-    cases (5|6), (6|7), (7|8).
+    cases (5|6), (6|7), (7|8).  The middle one is where the willingness to pay peaks.
     """
     t1, t2 = info.theta1, info.theta2
     same = 1.0 - t1 - t2 + 2.0 * t1 * t2  # P(components agree | either state)

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderingError, ParameterError, UnknownPatternError
-from .incentives import AcquisitionAction, case_thresholds, willingness_to_pay
+from .incentives import (
+    AcquisitionAction,
+    case_thresholds,
+    max_willingness_to_pay,
+    willingness_to_pay,
+)
 from .model import (
     ALL_SIGNALS,
     ALPHA,
@@ -369,8 +374,7 @@ def _critical_priors(
     info: InformationStructure, payoffs: PayoffStructure, cost: float
 ) -> list[float]:
     values = list(case_thresholds(info, ALPHA)) + list(case_thresholds(info, BETA))
-    ceiling = payoffs.delta_u * (info.theta2 - 0.5)
-    if 0.0 <= cost < ceiling:
+    if cost < max_willingness_to_pay(info, payoffs):
         values += list(inversion_thresholds(cost, info, payoffs, ALPHA))
         values += list(inversion_thresholds(cost, info, payoffs, BETA))
     return values

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExtremeBeliefError, OrderingError, ParameterError
-from .incentives import max_willingness_to_pay, willingness_to_pay
+from .incentives import case_thresholds, max_willingness_to_pay, willingness_to_pay
 from .model import (
     ALPHA,
     BETA,
@@ -125,7 +125,7 @@ def inversion_thresholds(
         upper = t1 * (c - du * t2) / den_neg
     if lower > upper:
         # Crossed by round-off where they meet: at the peak prior, exactly.
-        peak = 1.0 - t1 if s1 is ALPHA else t1
+        peak = case_thresholds(info, s1)[1]
         return peak, peak
     # Round-off can also lift the upper one above 1 when theta1 is next to 1.
     return lower, min(upper, 1.0)
@@ -190,7 +190,7 @@ def extreme_sets(info: InformationStructure) -> ExtremeSets:
         non_extreme_beta=ne_beta,
         non_extreme=union,
         extreme=complement,
-        is_convex=info.theta2 >= info.theta1,
+        is_convex=connected,
     )
 
 
@@ -216,7 +216,7 @@ def reciprocal_partner(
             f"prior {p_i} is extreme for first component {s1.value}; "
             "no reciprocal partner exists"
         )
-    peak = 1.0 - info.theta1 if s1 is ALPHA else info.theta1
+    peak = case_thresholds(info, s1)[1]
     if p_i == peak:
         return p_i
     # Round-off can lift a prior next to the peak an ulp above the maximum.

@@ -1,6 +1,6 @@
 import pytest
 
-from secondlook import InformationStructure, PayoffStructure, Scenario
+from secondlook import InformationStructure, PayoffStructure
 
 
 @pytest.fixture
@@ -11,8 +11,3 @@ def info():
 @pytest.fixture
 def payoffs():
     return PayoffStructure(1.0, 0.0)
-
-
-@pytest.fixture
-def scenario(info, payoffs):
-    return Scenario(info, payoffs, 0.1, (0.3, 0.7))

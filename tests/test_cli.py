@@ -166,6 +166,23 @@ def test_example_with_high_cost_override(capsys):
     assert "low prior skips after beta" in out
 
 
+def test_example_reference_checks_ignore_fields_the_example_does_not_read(capsys):
+    code, out, _ = run_cli(
+        capsys, "example", "--seed", "7", "--grid", "11", "--subjective-p", "0.3"
+    )
+    assert code == 0
+    assert "all reference checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "args", [("--u-correct", "2", "--u-wrong", "0.5"), ("--priors", "0.3,0.8")], ids=" ".join
+)
+def test_example_off_the_reference_scenario_skips_the_checks(capsys, args):
+    code, out, _ = run_cli(capsys, "example", *args)
+    assert code == 0
+    assert out.endswith("\nnon-reference parameters: reference checks skipped\n")
+
+
 def test_example_with_weaker_second_component(capsys):
     code, out, _ = run_cli(capsys, "example", "--theta1", "0.8", "--theta2", "0.6")
     assert code == 0
@@ -264,6 +281,16 @@ def test_verify_passes_at_equal_precisions(capsys):
     )
     assert code == 0
     assert "verification passed" in out
+
+
+def test_verify_counts_suite_violations_into_the_total(capsys):
+    # round-off between the closed form and the enumeration exceeds 1e-30 at
+    # 89 of the 202 prior and component points
+    code, out, _ = run_cli(capsys, "verify", "--grid", "11", "--tolerance", "1e-30")
+    assert code == 2
+    lines = out.splitlines()
+    assert "value-of-information agreement: 89 violations" in lines
+    assert any(line.startswith("verification FAILED (89 violations, ") for line in lines)
 
 
 def test_config_file_and_output_file(tmp_path, capsys):

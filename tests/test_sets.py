@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from secondlook import (
@@ -167,6 +167,28 @@ def test_extreme_sets_gap_when_first_component_stronger():
     assert sets.is_extreme(0.5)
     assert not sets.is_extreme(0.2)
     assert not sets.is_extreme(0.8)
+
+
+PRECISION = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(theta1=PRECISION, theta2=PRECISION, ulps=st.sampled_from([None, -2, -1, 0, 1, 2]))
+@example(theta1=math.nextafter(0.5, 1.0), theta2=0.6, ulps=1)
+@example(theta1=0.75, theta2=0.6, ulps=-1)
+@example(theta1=0.75, theta2=0.6, ulps=0)
+@example(theta1=math.nextafter(1.0, 0.0), theta2=0.6, ulps=-2)
+def test_is_convex_is_the_computed_partition(theta1, theta2, ulps):
+    # The interval endpoints are computed in floats, so equal precisions and
+    # precisions an ulp or two apart are where they could disagree with the
+    # precision ordering.
+    if ulps is not None:
+        theta2 = theta1
+        for _ in range(abs(ulps)):
+            theta2 = math.nextafter(theta2, 1.0 if ulps > 0 else 0.0)
+        assume(0.5 < theta2 < 1.0)
+    sets = extreme_sets(InformationStructure(theta1, theta2))
+    assert sets.is_convex == (theta2 >= theta1)
+    assert len(sets.non_extreme) == (1 if sets.is_convex else 2)
 
 
 def test_reciprocal_partner_is_opposite_h_endpoint(info, payoffs):
