@@ -65,7 +65,7 @@ from .patterns import (
     polarization_feasible,
     reaction_report,
 )
-from .sets import PairClass, b_memberships, classify_pair, inversion_thresholds, v_memberships
+from .sets import PairClass, b_memberships, inversion_thresholds, v_memberships
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,8 +117,22 @@ def _common_flags(parser):
     override.add_argument("--cost", type=float)
     override.add_argument("--priors", type=_float_list)
     override.add_argument("--costs", type=_float_list)
-    override.add_argument("--subjective-p", type=float, dest="subjective_p")
+    override.add_argument("--subjective-p", type=_optional_float, dest="subjective_p")
     override.add_argument("--grid", type=int)
+
+
+#: What ``--subjective-p none`` parses to: a flag left out already reads as ``None``.
+_UNSET = object()
+
+
+def _optional_float(text: str):
+    """A number, or ``none`` in any case (as in a config file) to unset the value."""
+    if text.strip().lower() == "none":
+        return _UNSET
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -164,7 +178,7 @@ def _effective_config(args) -> RunConfig:
     for field in fields(RunConfig):
         value = getattr(args, field.name, None)
         if value is not None:
-            overrides[field.name] = value
+            overrides[field.name] = None if value is _UNSET else value
     if overrides:
         config = replace(config, **overrides).validate("<overrides>")
     return config
@@ -473,20 +487,19 @@ def _verify_invariants(config: RunConfig, tolerance: float):
     yield "threshold inversion", inv_bad
 
     # One-sided acquisition at a cost implies the strict willingness ordering.
-    pair_bad = 0
-    for _ in range(2000):
-        p_i, p_j = sorted(rng.random(2))
-        c = float(rng.uniform(0.0, ceiling))
-        pair = classify_pair(float(p_i), float(p_j), c, info, payoffs)
-        implied = (
-            (not pair.in_b_low_alpha or pair.in_v_low_alpha)
-            and (not pair.in_b_high_beta or pair.in_v_high_beta)
-            and (not pair.in_b_high_alpha or pair.in_v_high_alpha)
-            and (not pair.in_b_low_beta or pair.in_v_low_beta)
+    # Each row holds one pair's two priors and its cost draw: the doubles of a
+    # random(2) then a uniform(0, ceiling), which numpy draws as 0 + ceiling * u.
+    draws = rng.random((2000, 3))
+    low, high = (
+        tuple(
+            np.array([willingness_to_pay(p, info, payoffs, s1) for p in column])
+            for s1 in (ALPHA, BETA)
         )
-        if not implied:
-            pair_bad += 1
-    yield "one-sided acquisition implies willingness ordering", pair_bad
+        for column in np.sort(draws[:, :2], axis=1).T.tolist()
+    )
+    b_sets = b_memberships(low, high, ceiling * draws[:, 2])
+    broken = np.any([b & ~v for b, v in zip(b_sets, v_memberships(low, high))], axis=0)
+    yield "one-sided acquisition implies willingness ordering", int(broken.sum())
 
 
 def cmd_verify(config: RunConfig, args) -> int:

@@ -11,7 +11,10 @@ the two decode to identical records.  The JSON layout is the one
 ``json.dumps(records, indent=2)`` gives: one record per block, indented by two
 spaces and its fields by four; each finite float is the shortest repr of its
 12-significant-digit value, and a non-finite one is written as ``json.dumps``
-writes it (``NaN``, ``Infinity``, ``-Infinity``).
+writes it (``NaN``, ``Infinity``, ``-Infinity``).  Where ``%.12g`` writes a
+value in fixed notation (decimal exponent -4 to 11) its text, with ``.0``
+added to a whole number, already is that repr, since two different decimals
+of at most 12 significant digits never round to the same double.
 """
 
 from __future__ import annotations
@@ -172,7 +175,13 @@ def render_csv(columns: list[str], rows: list[tuple]) -> str:
 def _json_cell(value) -> str:
     """One JSON cell, as ``json.dumps`` writes the value rounded to 12 digits."""
     if isinstance(value, float):
-        value = float(_FLOAT_FORMAT % value)
+        text = _FLOAT_FORMAT % value
+        # Without an "e" (exponent form) or an "n" (inf, nan) the text is in
+        # fixed notation, where repr writes the same digits: no other decimal
+        # of at most 12 significant digits rounds to the same double.
+        if "e" not in text and "n" not in text:
+            return text if "." in text else text + ".0"
+        value = float(text)
         return repr(value) if math.isfinite(value) else json.dumps(value)
     if type(value) is int:
         return repr(value)

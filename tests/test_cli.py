@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from secondlook import ALPHA, InformationStructure, PayoffStructure, classify_pair
+from secondlook import ALPHA, InformationStructure, PayoffStructure, classify_pair, cli, sets
 from secondlook.cli import main
-from secondlook.config import render_table
+from secondlook.config import DEFAULT_CONFIG, render_table
 from secondlook.incentives import willingness_to_pay
 
 
@@ -293,6 +293,47 @@ def test_verify_counts_suite_violations_into_the_total(capsys):
     assert any(line.startswith("verification FAILED (89 violations, ") for line in lines)
 
 
+def test_pair_suite_counts_what_classify_pair_counts(monkeypatch):
+    # A B law loosened by 0.01 breaks the implication for some pairs.  The row
+    # suite must flag exactly the pairs that one classify_pair call per pair
+    # flags, on the same seeded draws.
+    def loose_b(wtp_low, wtp_high, c):
+        (alpha_i, beta_i), (alpha_j, beta_j) = wtp_low, wtp_high
+        return (
+            (c <= alpha_i + 0.01) & (alpha_j < c),
+            (c <= beta_j) & (beta_i < c - 0.01),
+            (c <= alpha_j + 0.01) & (alpha_i < c),
+            (c <= beta_i) & (beta_j < c),
+        )
+
+    monkeypatch.setattr(cli, "b_memberships", loose_b)
+    monkeypatch.setattr(sets, "b_memberships", loose_b)
+    info, payoffs = DEFAULT_CONFIG.info(), DEFAULT_CONFIG.payoffs()
+    ceiling = cli.max_willingness_to_pay(info, payoffs)
+    rng = np.random.default_rng(DEFAULT_CONFIG.seed)
+    rng.random(2000 + 100)  # the draws of the updating and inversion suites
+    expected = 0
+    for _ in range(2000):
+        p_i, p_j = sorted(rng.random(2).tolist())
+        pair = classify_pair(p_i, p_j, float(rng.uniform(0.0, ceiling)), info, payoffs)
+        memberships = list(vars(pair).values())
+        expected += any(b and not v for b, v in zip(memberships[:4], memberships[4:]))
+    counts = dict(cli._verify_invariants(DEFAULT_CONFIG, 1e-10))
+    assert counts["one-sided acquisition implies willingness ordering"] == expected > 0
+
+
+@pytest.mark.parametrize("flag", ["none", "None", "NONE"])
+def test_subjective_p_none_flag_drops_the_simulation(tmp_path, capsys, flag):
+    config = tmp_path / "run.cfg"
+    config.write_text("subjective_p = 0.3\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "verify", "--grid", "11", "--config", str(config), "--subjective-p", flag
+    )
+    assert code == 0
+    assert "simulation agreement" not in out
+    assert out.splitlines()[-1].startswith("verification passed")
+
+
 def test_config_file_and_output_file(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("theta1 = 0.55\ntheta2 = 0.9\ngrid = 7\n", encoding="utf-8")
@@ -334,9 +375,18 @@ def test_usage_error_exits_one(capsys):
     assert excinfo.value.code == 1
 
 
-def test_polarize_requires_subjective_prior(tmp_path, capsys):
+@pytest.mark.parametrize("unset", ["config", "flag"])
+def test_polarize_requires_subjective_prior(tmp_path, capsys, unset):
     config = tmp_path / "nosubj.cfg"
     config.write_text("subjective_p = none\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "polarize", "--config", str(config))
+    args = ["--config", str(config)] if unset == "config" else ["--subjective-p", "none"]
+    code, _, err = run_cli(capsys, "polarize", *args)
     assert code == 1
-    assert "subjective_p" in err
+    assert "needs subjective_p" in err
+
+
+def test_subjective_p_flag_rejects_other_words(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["polarize", "--subjective-p", "nan-ish"])
+    assert excinfo.value.code == 1
+    assert "expected a number or 'none'" in capsys.readouterr().err

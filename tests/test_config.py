@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secondlook import ConfigError, DEFAULT_CONFIG, RunConfig, dump_config, parse_config
-from secondlook.config import render_csv, render_json, render_table
+from secondlook.config import _json_cell, render_csv, render_json, render_table
 
 SAMPLE = """
 # reference scenario
@@ -152,9 +152,13 @@ def indented_dumps(columns, rows):
 
 
 # %.12g and repr print 1.23456789012e12 differently, so a cell must round-trip
-# through float; 5e-324 and 2.5e-310 are subnormal.
+# through float; 5e-324 and 2.5e-310 are subnormal.  The fixed-notation fast
+# path ends at 1e-4 and below 1e12: 9.9999999999995e-05 rounds up into it and
+# 999999999999.5 rounds out of it, to 1e+12.
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
-               1.23456789012e12, 1 / 3, 0.30000000000000004, -2.5, 1e-7]
+               1.23456789012e12, 1 / 3, 0.30000000000000004, -2.5, 1e-7,
+               1e-4, 9.9999999999995e-05, 9.99999999999e-05, 999999999999.4,
+               999999999999.5, 1e11, -3.0]
 
 
 @pytest.mark.parametrize(
@@ -198,6 +202,21 @@ _cells = st.one_of(
 def test_render_json_matches_indented_dumps_property(table):
     columns, rows = table
     assert render_json(columns, rows) == indented_dumps(columns, rows)
+
+
+def test_json_cell_is_the_repr_of_the_rounded_float():
+    # Mantissas of about 1 to 17 significant digits, half over decimal
+    # exponents -320 to 308 and half around the fixed-notation window of %.12g.
+    rng = np.random.default_rng(13)
+    n = 100_000
+    scale = 10.0 ** rng.integers(0, 17, n)
+    mantissas = np.round(rng.uniform(1, 10, n) * scale) / scale
+    exponents = np.where(rng.random(n) < 0.5, rng.integers(-320, 309, n), rng.integers(-6, 14, n))
+    with np.errstate(over="ignore"):
+        values = rng.choice([-1.0, 1.0], n) * mantissas * 10.0 ** exponents
+    values = values[np.isfinite(values)].tolist()
+    assert len(values) > 99_000
+    assert [_json_cell(v) for v in values] == [repr(float("%.12g" % v)) for v in values]
 
 
 def test_render_json_rejects_cells_json_cannot_encode():
