@@ -375,12 +375,16 @@ def test_usage_error_exits_one(capsys):
     assert excinfo.value.code == 1
 
 
-@pytest.mark.parametrize("unset", ["config", "flag"])
-def test_polarize_requires_subjective_prior(tmp_path, capsys, unset):
+def test_polarize_requires_subjective_prior(tmp_path, capsys):
     config = tmp_path / "nosubj.cfg"
     config.write_text("subjective_p = none\n", encoding="utf-8")
-    args = ["--config", str(config)] if unset == "config" else ["--subjective-p", "none"]
-    code, _, err = run_cli(capsys, "polarize", *args)
+    code, _, err = run_cli(capsys, "polarize", "--config", str(config))
+    assert code == 1
+    assert "needs subjective_p" in err
+
+
+def test_polarize_rejects_subjective_p_none_flag(capsys):
+    code, _, err = run_cli(capsys, "polarize", "--subjective-p", "none")
     assert code == 1
     assert "needs subjective_p" in err
 
