@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 from dataclasses import fields, replace
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -29,6 +30,7 @@ from .config import (
     DEFAULT_CONFIG,
     RunConfig,
     load_config,
+    parse_setting,
     render_table,
 )
 from .errors import ConfigError, ModelError
@@ -99,7 +101,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="run configuration file")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="table output format"
     )
@@ -109,37 +110,24 @@ def _common_flags(parser):
         type=float,
         help="override the command's default numeric tolerance",
     )
-    override = parser.add_argument_group("parameter overrides")
-    override.add_argument("--theta1", type=float)
-    override.add_argument("--theta2", type=float)
-    override.add_argument("--u-correct", type=float, dest="u_correct")
-    override.add_argument("--u-wrong", type=float, dest="u_wrong")
-    override.add_argument("--cost", type=float)
-    override.add_argument("--priors", type=_float_list)
-    override.add_argument("--costs", type=_float_list)
-    override.add_argument("--subjective-p", type=_optional_float, dest="subjective_p")
-    override.add_argument("--grid", type=int)
+    override = parser.add_argument_group(
+        "parameter overrides", "each flag takes what its config key takes"
+    )
+    for field in fields(RunConfig):
+        # SUPPRESS leaves a flag that was not given out of the namespace.
+        override.add_argument(
+            "--" + field.name.replace("_", "-"),
+            type=partial(_parse_flag, field.name),
+            default=argparse.SUPPRESS,
+        )
 
 
-#: What ``--subjective-p none`` parses to: a flag left out already reads as ``None``.
-_UNSET = object()
-
-
-def _optional_float(text: str):
-    """A number, or ``none`` in any case (as in a config file) to unset the value."""
-    if text.strip().lower() == "none":
-        return _UNSET
+def _parse_flag(key: str, text: str):
+    """An override flag's value, by the config file's rule for ``key``."""
     try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        return parse_setting(key, text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,11 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else DEFAULT_CONFIG
-    overrides = {}
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = None if value is _UNSET else value
+    given = vars(args)
+    overrides = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
     if overrides:
         config = replace(config, **overrides).validate("<overrides>")
     return config
@@ -335,22 +320,25 @@ def cmd_example(config: RunConfig, args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VIOLATIONS
 
 
+def _subjective_prior(config: RunConfig, command: str) -> float:
+    if config.subjective_p is None:
+        raise ConfigError(
+            f"the {command} command needs subjective_p; the subjective prior is "
+            "a free input and is never defaulted"
+        )
+    return config.subjective_p
+
+
 def cmd_polarize(config: RunConfig, args) -> int:
     if len(config.priors) != 2:
         raise ConfigError("the polarize command needs two priors (low, high)")
-    if config.subjective_p is None:
-        raise ConfigError(
-            "the polarize command needs subjective_p; the subjective prior is "
-            "a free input and is never defaulted"
-        )
+    subjective = _subjective_prior(config, "polarize")
     info, payoffs = config.info(), config.payoffs()
     cost = config.cost
     p_low, p_high = config.priors
     feas = polarization_feasible(p_low, p_high, info, payoffs, cost)
     # Over every route, so it is the probability of the rows marked polarized.
-    probability = pattern_probability(
-        "PB", config.subjective_p, p_low, info, payoffs, cost, p_j=p_high
-    )
+    probability = pattern_probability("PB", subjective, p_low, info, payoffs, cost, p_j=p_high)
     columns = [
         "sigma1",
         "sigma2",
@@ -409,7 +397,7 @@ def _simulated_pattern(config: RunConfig, pattern: str, subjective: float, draws
 
 def cmd_simulate(config: RunConfig, args) -> int:
     pattern = args.pattern
-    subjective = config.subjective_p if config.subjective_p is not None else config.priors[0]
+    subjective = _subjective_prior(config, "simulate")
     estimate, analytic = _simulated_pattern(config, pattern, subjective, args.draws)
     columns = [
         "pattern",
@@ -562,9 +550,6 @@ def main(argv=None) -> int:
     try:
         config = _effective_config(args)
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

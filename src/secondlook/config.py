@@ -1,8 +1,9 @@
 """Run configuration files and tabular output.
 
 The configuration format is a flat UTF-8 ``key = value`` file: one setting
-per line, ``#`` comments, lists comma-separated.  Unknown keys are rejected
-and every parse or validation error names the file and line.  A config
+per line, ``#`` comments, lists comma-separated, read by :func:`parse_setting`
+for a file line and a command-line flag alike.  Unknown keys are rejected; a
+parse error names the file and line, a validation error the file.  A config
 serialized with :func:`dump_config` parses back to an identical value.
 
 Tables are emitted as CSV with a header row or as a JSON array of flat
@@ -67,6 +68,9 @@ class RunConfig:
     def validate(self, source: str = "<config>") -> "RunConfig":
         """Re-run all underlying type constraints; raise ConfigError on failure."""
         try:
+            for key in _LIST_KEYS:
+                if getattr(self, key) is not None and len(getattr(self, key)) == 0:
+                    raise ModelError(f"{key!r} needs at least one value")
             self.scenario()
             if self.subjective_p is not None:
                 check_probability(self.subjective_p, "subjective_p")
@@ -81,25 +85,42 @@ class RunConfig:
 
 DEFAULT_CONFIG = RunConfig()
 
-_LIST_KEYS = {"priors", "costs"}
+_LIST_KEYS = ("priors", "costs")
 _INT_KEYS = {"seed", "grid"}
 _OPTIONAL_KEYS = {"subjective_p", "costs"}
 _ALL_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def _parse_scalar(key: str, text: str, source: str, line: int):
+def parse_setting(key: str, text: str, source: str | None = None, line: int | None = None):
+    """One setting's text as its value; :meth:`RunConfig.validate` checks ranges.
+
+    ``none``, in any case, unsets an optional key.
+    """
+    if key not in _ALL_KEYS:
+        raise ConfigError(f"unknown key {key!r}", source=source, line=line)
+    text = text.strip()
+    if key in _OPTIONAL_KEYS and text.lower() == "none":
+        return None
     caster = int if key in _INT_KEYS else float
-    try:
-        return caster(text)
-    except ValueError:
-        kind = "an integer" if caster is int else "a number"
-        raise ConfigError(
-            f"expected {kind} for {key!r}, got {text!r}", source=source, line=line
-        ) from None
+
+    def cast(part: str):
+        try:
+            return caster(part)
+        except ValueError:
+            kind = "an integer" if caster is int else "a number"
+            if key in _OPTIONAL_KEYS:
+                kind += " or 'none'"
+            raise ConfigError(
+                f"expected {kind} for {key!r}, got {part.strip()!r}", source=source, line=line
+            ) from None
+
+    if key in _LIST_KEYS:
+        return tuple(cast(part) for part in text.split(",") if part.strip())
+    return cast(text)
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse a flat key-value configuration; errors carry line numbers."""
+    """Parse a flat key-value configuration; parse errors carry line numbers."""
     values: dict = {}
     seen_lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,27 +134,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 line=lineno,
             )
         key, _, value_text = line.partition("=")
-        key, value_text = key.strip(), value_text.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key {key!r}", source=source, line=lineno)
+        key = key.strip()
         if key in seen_lines:
             raise ConfigError(
                 f"duplicate key {key!r} (first set on line {seen_lines[key]})",
                 source=source,
                 line=lineno,
             )
+        values[key] = parse_setting(key, value_text, source, lineno)
         seen_lines[key] = lineno
-        if key in _OPTIONAL_KEYS and value_text.lower() == "none":
-            values[key] = None
-        elif key in _LIST_KEYS:
-            parts = [part.strip() for part in value_text.split(",") if part.strip()]
-            if not parts:
-                raise ConfigError(
-                    f"{key!r} needs at least one value", source=source, line=lineno
-                )
-            values[key] = tuple(_parse_scalar(key, part, source, lineno) for part in parts)
-        else:
-            values[key] = _parse_scalar(key, value_text, source, lineno)
     return replace(DEFAULT_CONFIG, **values).validate(source)
 
 

@@ -46,6 +46,12 @@ class Signal:
     first: SignalComponentValue
     second: SignalComponentValue
 
+    def __post_init__(self):
+        # Downstream code reads any component that is not ALPHA as BETA.
+        for value in (self.first, self.second):
+            if value is not ALPHA and value is not BETA:
+                raise ParameterError(f"a signal component must be ALPHA or BETA, got {value!r}")
+
     def label(self) -> str:
         return f"({self.first.value}, {self.second.value})"
 

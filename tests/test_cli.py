@@ -2,11 +2,21 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from secondlook import ALPHA, InformationStructure, PayoffStructure, classify_pair, cli, sets
+from secondlook import (
+    ALPHA,
+    ConfigError,
+    InformationStructure,
+    PayoffStructure,
+    RunConfig,
+    classify_pair,
+    cli,
+    sets,
+)
 from secondlook.cli import main
 from secondlook.config import DEFAULT_CONFIG, render_table
 from secondlook.incentives import willingness_to_pay
@@ -394,3 +404,67 @@ def test_subjective_p_flag_rejects_other_words(capsys):
         main(["polarize", "--subjective-p", "nan-ish"])
     assert excinfo.value.code == 1
     assert "expected a number or 'none'" in capsys.readouterr().err
+
+
+def test_simulate_requires_subjective_prior(capsys):
+    # Not defaulted to the first prior: that would print the row of another input.
+    code, out, err = run_cli(capsys, "simulate", "--pattern", "CB", "--subjective-p", "none")
+    assert code == 1 and out == ""
+    assert "the simulate command needs subjective_p" in err
+
+
+def test_empty_cost_list_is_rejected_on_every_path(tmp_path, capsys):
+    # An empty list once ran verify's grid checks over no cost and passed them.
+    for args in (["verify", "--grid", "11", "--costs", ""], ["sets", "--costs", ""]):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert "'costs' needs at least one value" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("costs =\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--grid", "11", "--config", str(config))
+    assert code == 1 and "verification passed" not in out
+    assert "'costs' needs at least one value" in err
+    with pytest.raises(ConfigError, match="'costs' needs at least one value"):
+        RunConfig(costs=()).validate()
+
+
+#: A valid text for each RunConfig field, off its default.
+VALID_TEXT = {
+    "theta1": "0.7",
+    "theta2": "0.9",
+    "u_correct": "2",
+    "u_wrong": "0.5",
+    "cost": "0.2",
+    "priors": "0.2, 0.9",
+    "subjective_p": "0.4",
+    "seed": "7",
+    "grid": "11",
+    "costs": "0.05,0.2",
+}
+
+
+def _config_or_error(capsys, argv):
+    """The effective config of a command line, or the error it exits 1 with."""
+    try:
+        return cli._effective_config(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 1
+        return capsys.readouterr().err
+    except ConfigError as exc:  # main prints it and returns 1
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["valid", "none", "empty", "junk"])
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_flag_and_config_line_take_the_same_text(tmp_path, capsys, key, kind):
+    text = {"valid": VALID_TEXT[key], "none": "none", "empty": "", "junk": "junk"}[kind]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    by_flag = _config_or_error(capsys, ["wtp", "--" + key.replace("_", "-"), text])
+    by_file = _config_or_error(capsys, ["wtp", "--config", str(config)])
+    if isinstance(by_flag, RunConfig) or isinstance(by_file, RunConfig):
+        assert by_flag == by_file
+    else:
+        assert repr(key) in by_flag and repr(key) in by_file
+    if kind == "valid":
+        assert by_flag != DEFAULT_CONFIG

@@ -15,6 +15,7 @@ from secondlook import (
     ParameterError,
     PayoffStructure,
     Scenario,
+    Signal,
     conditional_second,
     marginal_first,
     posterior_after_both,
@@ -202,6 +203,15 @@ def test_payoffs_must_be_finite_numbers(bad):
         PayoffStructure(bad, 0)
     with pytest.raises(ParameterError):
         PayoffStructure(2.0, bad)
+
+
+@pytest.mark.parametrize("bad", ["alpha", 1, None])
+def test_signal_components_must_be_alpha_or_beta(bad):
+    # Anything else would be read as BETA wherever a component is compared to ALPHA.
+    with pytest.raises(ParameterError):
+        Signal(bad, ALPHA)
+    with pytest.raises(ParameterError):
+        Signal(BETA, bad)
 
 
 def test_scenario_validation(info, payoffs):
