@@ -25,7 +25,6 @@ from .model import (
     BETA,
     InformationStructure,
     PayoffStructure,
-    Scenario,
     Signal,
     SignalComponentValue,
     StateOfWorld,
@@ -37,7 +36,6 @@ from .model import (
 )
 from .incentives import (
     AcquisitionAction,
-    acquisition_decision,
     case_interval,
     case_thresholds,
     classify_case,
@@ -85,6 +83,6 @@ from .oracle import (
     outcome_table,
     pattern_probability,
 )
-from .config import DEFAULT_CONFIG, RunConfig, dump_config, load_config, parse_config
+from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config
 
 __version__ = "0.1.0"

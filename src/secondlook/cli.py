@@ -73,8 +73,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATIONS = 2
 
+#: How far ``example`` lets a quantity sit from its two-decimal reference value:
+#: half a unit of the second decimal.
+EXAMPLE_TOLERANCE = 0.005
+#: How far ``verify`` lets the closed-form willingness to pay sit from the enumeration.
+VOI_TOLERANCE = 1e-10
+
 #: The worked example's reference values at ``DEFAULT_CONFIG``: quantities
-#: rounded to two decimals, checked within the tolerance, then exact verdicts.
+#: rounded to two decimals, checked within ``EXAMPLE_TOLERANCE``, then exact verdicts.
 REFERENCE_CHECKS = (
     ("posterior_high_after_alpha", 0.78),
     ("posterior_low_after_alpha", 0.39),
@@ -105,11 +111,6 @@ def _common_flags(parser):
         "--format", choices=("csv", "json"), default="csv", help="table output format"
     )
     parser.add_argument("--out", metavar="PATH", help="write output to a file")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        help="override the command's default numeric tolerance",
-    )
     override = parser.add_argument_group(
         "parameter overrides", "each flag takes what its config key takes"
     )
@@ -232,7 +233,6 @@ def cmd_example(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     cost = config.cost
     p_low, p_high = config.priors
-    tolerance = args.tolerance if args.tolerance is not None else 0.005
 
     outcome_ab = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(ALPHA, BETA))
     outcome_ba = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(BETA, ALPHA))
@@ -300,13 +300,14 @@ def cmd_example(config: RunConfig, args) -> int:
 
     failures = 0
     if reference_mode:
-        lines.append(f"reference checks (tolerance {tolerance:g}):")
+        lines.append(f"reference checks (tolerance {EXAMPLE_TOLERANCE:g}):")
         for name, expected in REFERENCE_CHECKS:
             actual = values[name]
             if isinstance(expected, bool):
                 ok, shown = actual == expected, f"{actual} vs {expected}"
             else:
-                ok, shown = abs(actual - expected) <= tolerance, f"{actual:.4f} vs {expected:.2f}"
+                ok = abs(actual - expected) <= EXAMPLE_TOLERANCE
+                shown = f"{actual:.4f} vs {expected:.2f}"
             failures += 0 if ok else 1
             lines.append(f"  {'ok  ' if ok else 'FAIL'} {name}: {shown}")
         lines.append("")
@@ -429,7 +430,7 @@ def _status(violations: int) -> str:
     return "ok" if violations == 0 else f"{violations} violations"
 
 
-def _verify_invariants(config: RunConfig, tolerance: float):
+def _verify_invariants(config: RunConfig):
     """Sampled invariant suites: yield each suite's label and violation count.
 
     The suites share one seeded rng, so they must run in this order.
@@ -461,7 +462,7 @@ def _verify_invariants(config: RunConfig, tolerance: float):
         for p in default_prior_grid(101).tolist()
         for s1 in (ALPHA, BETA)
     )
-    yield "value-of-information agreement", sum(gap > tolerance for gap in gaps)
+    yield "value-of-information agreement", sum(gap > VOI_TOLERANCE for gap in gaps)
 
     # Acquisition-interval endpoints invert the cost function.
     inv_bad = 0
@@ -492,7 +493,6 @@ def _verify_invariants(config: RunConfig, tolerance: float):
 
 def cmd_verify(config: RunConfig, args) -> int:
     started = time.perf_counter()
-    tolerance = args.tolerance if args.tolerance is not None else 1e-10
     lines = []
     violations = []
     total = 0
@@ -508,7 +508,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         violations.extend(found)
         total += len(found)
         lines.append(f"{check}: {_status(len(found))}")
-    for label, bad in _verify_invariants(config, tolerance):
+    for label, bad in _verify_invariants(config):
         total += bad
         lines.append(f"{label}: {_status(bad)}")
 

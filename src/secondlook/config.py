@@ -3,8 +3,7 @@
 The configuration format is a flat UTF-8 ``key = value`` file: one setting
 per line, ``#`` comments, lists comma-separated, read by :func:`parse_setting`
 for a file line and a command-line flag alike.  Unknown keys are rejected; a
-parse error names the file and line, a validation error the file.  A config
-serialized with :func:`dump_config` parses back to an identical value.
+parse error names the file and line, a validation error the file.
 
 Tables are emitted as CSV with a header row or as a JSON array of flat
 records.  Floats are printed with 12 significant digits in both formats so
@@ -29,7 +28,6 @@ from .errors import ConfigError, ModelError
 from .model import (
     InformationStructure,
     PayoffStructure,
-    Scenario,
     check_cost,
     check_count,
     check_probability,
@@ -59,9 +57,6 @@ class RunConfig:
     def payoffs(self) -> PayoffStructure:
         return PayoffStructure(self.u_correct, self.u_wrong)
 
-    def scenario(self) -> Scenario:
-        return Scenario(self.info(), self.payoffs(), self.cost, self.priors)
-
     def cost_list(self) -> tuple[float, ...]:
         return self.costs if self.costs is not None else (self.cost,)
 
@@ -71,7 +66,14 @@ class RunConfig:
             for key in _LIST_KEYS:
                 if getattr(self, key) is not None and len(getattr(self, key)) == 0:
                     raise ModelError(f"{key!r} needs at least one value")
-            self.scenario()
+            self.info()
+            self.payoffs()
+            check_cost(self.cost, "processing cost")
+            priors = [check_probability(p, "prior") for p in self.priors]
+            if len(priors) > 2 or priors != sorted(priors):
+                raise ModelError(
+                    f"'priors' must be one prior or a pair ordered low <= high, got {self.priors}"
+                )
             if self.subjective_p is not None:
                 check_probability(self.subjective_p, "subjective_p")
             check_count(self.grid, "grid", 2)
@@ -156,21 +158,12 @@ def load_config(path) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    """Render one config value or table cell the same way for CSV and JSON."""
-    if value is None:
-        return "none"
+    """Render one CSV table cell."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return _FLOAT_FORMAT % value
-    if isinstance(value, tuple):
-        return ", ".join(_format_value(v) for v in value)
     return str(value)
-
-
-def dump_config(config: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
 
 
 def render_csv(columns: list[str], rows: list[tuple]) -> str:

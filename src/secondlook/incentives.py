@@ -37,8 +37,8 @@ from .model import (
     BETA,
     InformationStructure,
     PayoffStructure,
-    Scenario,
     SignalComponentValue,
+    check_component,
     check_count,
     check_probability,
 )
@@ -55,6 +55,7 @@ def case_thresholds(info: InformationStructure, s1: SignalComponentValue) -> tup
     For alpha the boundaries separate cases (4|3), (3|2), (2|1); for beta,
     cases (5|6), (6|7), (7|8).  The middle one is where the willingness to pay peaks.
     """
+    check_component(s1)  # the one check for classify_case and willingness_to_pay too
     t1, t2 = info.theta1, info.theta2
     same = 1.0 - t1 - t2 + 2.0 * t1 * t2  # P(components agree | either state)
     diff = t1 + t2 - 2.0 * t1 * t2  # P(components disagree | either state)
@@ -149,14 +150,3 @@ def max_willingness_to_pay(
     """Global maximum of the willingness to pay, the same for both components."""
     return payoffs.delta_u * (info.theta2 - 0.5)
 
-
-def acquisition_decision(
-    p: float, scenario: Scenario, s1: SignalComponentValue
-) -> AcquisitionAction:
-    """Optimal acquisition choice: acquire iff cost <= willingness to pay.
-
-    The inequality is weak, so an exactly indifferent decision-maker acquires.
-    A zero cost is allowed as a diagnostic and is always acquired.
-    """
-    wtp = willingness_to_pay(p, scenario.info, scenario.payoffs, s1)
-    return AcquisitionAction.ACQUIRE if scenario.cost <= wtp else AcquisitionAction.SKIP

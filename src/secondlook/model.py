@@ -39,6 +39,13 @@ ALPHA = SignalComponentValue.ALPHA
 BETA = SignalComponentValue.BETA
 
 
+def check_component(value) -> SignalComponentValue:
+    """Validate a signal component; anything but ``ALPHA`` would otherwise read as ``BETA``."""
+    if value is ALPHA or value is BETA:
+        return value
+    raise ParameterError(f"a signal component must be ALPHA or BETA, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Signal:
     """One realization of the two-component signal."""
@@ -47,10 +54,8 @@ class Signal:
     second: SignalComponentValue
 
     def __post_init__(self):
-        # Downstream code reads any component that is not ALPHA as BETA.
-        for value in (self.first, self.second):
-            if value is not ALPHA and value is not BETA:
-                raise ParameterError(f"a signal component must be ALPHA or BETA, got {value!r}")
+        check_component(self.first)
+        check_component(self.second)
 
     def label(self) -> str:
         return f"({self.first.value}, {self.second.value})"
@@ -105,31 +110,6 @@ class PayoffStructure:
     @property
     def delta_u(self) -> float:
         return self.u_correct - self.u_wrong
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A full problem instance: precisions, payoffs, processing cost, priors.
-
-    Holds one prior for single-decision-maker analyses or an ordered pair
-    (low, high) for pairwise ones.
-    """
-
-    info: InformationStructure
-    payoffs: PayoffStructure
-    cost: float
-    priors: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cost", check_cost(self.cost, "processing cost"))
-        if len(self.priors) not in (1, 2):
-            raise ParameterError("a scenario holds one prior or an ordered pair")
-        priors = tuple(check_probability(p, "prior") for p in self.priors)
-        object.__setattr__(self, "priors", priors)
-        if len(self.priors) == 2 and not self.priors[0] <= self.priors[1]:
-            raise ParameterError(
-                f"pair priors must be ordered low <= high, got {self.priors}"
-            )
 
 
 def _check_real(value, name: str, error: type[ModelError] = ParameterError) -> float:
@@ -189,6 +169,7 @@ def posterior_after_first(
     Monotone increasing in the prior; degenerate priors 0 and 1 are absorbing.
     """
     p = check_probability(p)
+    check_component(s1)
     la = _likelihood(info.theta1, s1, StateOfWorld.A)
     lb = _likelihood(info.theta1, s1, StateOfWorld.B)
     num = la * p
@@ -207,6 +188,8 @@ def posterior_after_both(
     theta2, because the components are conditionally independent.
     """
     p = check_probability(p)
+    check_component(s1)
+    check_component(s2)
     la = _likelihood(info.theta1, s1, StateOfWorld.A) * _likelihood(
         info.theta2, s2, StateOfWorld.A
     )
@@ -224,6 +207,7 @@ def marginal_first(
 ) -> float:
     """Unconditional probability that the first component takes value ``s1``."""
     p = check_probability(p)
+    check_component(s1)
     return p * _likelihood(info.theta1, s1, StateOfWorld.A) + (1.0 - p) * _likelihood(
         info.theta1, s1, StateOfWorld.B
     )
@@ -238,6 +222,7 @@ def conditional_second(
     so this is just the second-component marginal evaluated at that belief.
     """
     q = check_probability(p_after_first, "p_after_first")
+    check_component(s2)
     return q * _likelihood(info.theta2, s2, StateOfWorld.A) + (1.0 - q) * _likelihood(
         info.theta2, s2, StateOfWorld.B
     )

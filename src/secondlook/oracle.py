@@ -38,6 +38,7 @@ from .model import (
     Signal,
     SignalComponentValue,
     StateOfWorld,
+    check_component,
     check_cost,
     check_count,
     check_probability,
@@ -123,7 +124,7 @@ def outcome_table(
     processing cost), and under the guess-now plan.
     """
     p = check_probability(p)
-    q = _interim(p, info.theta1, s1)
+    q = _interim(p, info.theta1, check_component(s1))
     guess_skip_a = q >= 0.5
     # Branch-optimal guesses after each second-component value.
     branch_guess_a = {}

@@ -130,7 +130,6 @@ class PolarizationFeasibility:
     """
 
     feasible: bool
-    second_more_informative: bool
     via_alpha: bool
     via_beta: bool
     via_alpha_swap: bool
@@ -205,7 +204,7 @@ def polarization_feasible(
         posterior_after_first(p_j, info, BETA),
     )
     routes = polarization_routes(theta_ok, p_i, p_j, one_sided, crossing)
-    return PolarizationFeasibility(any(routes), theta_ok, *routes, cost=c)
+    return PolarizationFeasibility(any(routes), *routes, cost=c)
 
 
 def polarization_probability(
@@ -324,7 +323,6 @@ class ConfirmationReport:
 
     confirmatory: bool
     disproving: bool
-    prior: float
     full_posterior: float
     realized: float
     acquired: bool
@@ -360,7 +358,6 @@ def confirmation_report(
     return ConfirmationReport(
         confirmatory=confirmatory,
         disproving=disproving,
-        prior=p,
         full_posterior=full,
         realized=realized,
         acquired=action is AcquisitionAction.ACQUIRE,
@@ -373,7 +370,6 @@ class ReactionReport:
 
     underreaction: bool
     overreaction: bool
-    prior: float
     full_posterior: float
     realized: float
 
@@ -400,7 +396,6 @@ def reaction_report(
     return ReactionReport(
         underreaction=under,
         overreaction=over,
-        prior=p,
         full_posterior=full,
         realized=realized,
     )

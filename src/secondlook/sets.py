@@ -42,6 +42,7 @@ from .model import (
     InformationStructure,
     PayoffStructure,
     SignalComponentValue,
+    check_component,
     check_cost,
     check_probability,
 )
@@ -78,15 +79,12 @@ class ProbabilityInterval:
     def empty_interval(cls) -> "ProbabilityInterval":
         return cls(0.0, 0.0, empty=True)
 
-    def contains(self, p: float) -> bool:
+    def __contains__(self, p: float) -> bool:
         if self.empty:
             return False
         above = p >= self.lower if self.closed_lower else p > self.lower
         below = p <= self.upper if self.closed_upper else p < self.upper
         return above and below
-
-    def __contains__(self, p: float) -> bool:
-        return self.contains(p)
 
     @property
     def length(self) -> float:
@@ -105,6 +103,7 @@ def inversion_thresholds(
     thresholds collapse onto the peak prior.
     """
     c = check_cost(c)
+    check_component(s1)
     ceiling = max_willingness_to_pay(info, payoffs)
     if c > ceiling:
         raise ParameterError(
@@ -141,6 +140,7 @@ def h_set(
 
     Empty once ``c`` reaches the cost function's maximum.
     """
+    check_component(s1)
     if check_cost(c) >= max_willingness_to_pay(info, payoffs):
         return ProbabilityInterval.empty_interval()
     lower, upper = inversion_thresholds(c, info, payoffs, s1)

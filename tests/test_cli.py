@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -160,10 +161,11 @@ def test_example_reference_run(capsys):
     assert "all reference checks passed" in out
 
 
-def test_example_mismatch_exits_two(capsys):
+def test_example_mismatch_exits_two(capsys, monkeypatch):
     # the reference values are two-decimal roundings, so a far tighter
     # tolerance must report mismatches and exit with the violation code
-    code, out, _ = run_cli(capsys, "example", "--tolerance", "1e-6")
+    monkeypatch.setattr(cli, "EXAMPLE_TOLERANCE", 1e-6)
+    code, out, _ = run_cli(capsys, "example")
     assert code == 2
     assert "FAIL" in out
 
@@ -293,10 +295,11 @@ def test_verify_passes_at_equal_precisions(capsys):
     assert "verification passed" in out
 
 
-def test_verify_counts_suite_violations_into_the_total(capsys):
+def test_verify_counts_suite_violations_into_the_total(capsys, monkeypatch):
     # round-off between the closed form and the enumeration exceeds 1e-30 at
     # 89 of the 202 prior and component points
-    code, out, _ = run_cli(capsys, "verify", "--grid", "11", "--tolerance", "1e-30")
+    monkeypatch.setattr(cli, "VOI_TOLERANCE", 1e-30)
+    code, out, _ = run_cli(capsys, "verify", "--grid", "11")
     assert code == 2
     lines = out.splitlines()
     assert "value-of-information agreement: 89 violations" in lines
@@ -328,7 +331,7 @@ def test_pair_suite_counts_what_classify_pair_counts(monkeypatch):
         pair = classify_pair(p_i, p_j, float(rng.uniform(0.0, ceiling)), info, payoffs)
         memberships = list(vars(pair).values())
         expected += any(b and not v for b, v in zip(memberships[:4], memberships[4:]))
-    counts = dict(cli._verify_invariants(DEFAULT_CONFIG, 1e-10))
+    counts = dict(cli._verify_invariants(DEFAULT_CONFIG))
     assert counts["one-sided acquisition implies willingness ordering"] == expected > 0
 
 
@@ -377,6 +380,20 @@ def test_invalid_override_exits_one(capsys):
     code, _, err = run_cli(capsys, "simulate", "--seed", "-1")
     assert code == 1
     assert err.startswith("error: ") and "seed" in err
+
+
+def test_each_command_takes_exactly_its_flags():
+    # The common flags, one override per run setting, and the command's own:
+    # a knob that nothing else sets cannot come back unnoticed.
+    common = {"-h", "--help", "--config", "--format", "--out"}
+    common |= {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+    own = {"simulate": {"--pattern", "--draws"}, "verify": {"--draws"}}
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(cli._COMMANDS)
+    for name, sub in commands.choices.items():
+        options = sorted(s for action in sub._actions for s in action.option_strings)
+        assert options == sorted(common | own.get(name, set())), name
 
 
 def test_usage_error_exits_one(capsys):

@@ -10,13 +10,13 @@ from secondlook import (
     InformationStructure,
     ParameterError,
     PayoffStructure,
-    Scenario,
-    acquisition_decision,
+    Signal,
     brute_force_voi,
     case_interval,
     case_thresholds,
     classify_case,
     max_willingness_to_pay,
+    realized_posterior,
     willingness_to_pay,
 )
 
@@ -145,30 +145,34 @@ def test_piece_shapes(info, payoffs):
     assert (d1 < 0).all() and (d2 < 0).all()
 
 
+def acquisition(p, info, payoffs, cost, s1):
+    """The action ``realized_posterior`` takes after ``s1``, whatever the second component."""
+    (action,) = {
+        realized_posterior(p, info, payoffs, cost, Signal(s1, s2))[1] for s2 in (ALPHA, BETA)
+    }
+    return action
+
+
 def test_acquisition_decisions_reference(info, payoffs):
-    scenario = Scenario(info, payoffs, 0.1, (0.3, 0.7))
-    assert acquisition_decision(0.3, scenario, ALPHA) is AcquisitionAction.ACQUIRE
-    assert acquisition_decision(0.7, scenario, ALPHA) is AcquisitionAction.SKIP
-    assert acquisition_decision(0.7, scenario, BETA) is AcquisitionAction.ACQUIRE
-    assert acquisition_decision(0.3, scenario, BETA) is AcquisitionAction.SKIP
+    assert acquisition(0.3, info, payoffs, 0.1, ALPHA) is AcquisitionAction.ACQUIRE
+    assert acquisition(0.7, info, payoffs, 0.1, ALPHA) is AcquisitionAction.SKIP
+    assert acquisition(0.7, info, payoffs, 0.1, BETA) is AcquisitionAction.ACQUIRE
+    assert acquisition(0.3, info, payoffs, 0.1, BETA) is AcquisitionAction.SKIP
 
 
 def test_acquisition_above_peak_cost_always_skips(info, payoffs):
-    scenario = Scenario(info, payoffs, 0.31, (0.3, 0.7))
     for p in np.linspace(0, 1, 101):
         for s1 in (ALPHA, BETA):
-            assert acquisition_decision(float(p), scenario, s1) is AcquisitionAction.SKIP
+            assert acquisition(float(p), info, payoffs, 0.31, s1) is AcquisitionAction.SKIP
 
 
 def test_acquisition_at_indifference_acquires(info, payoffs):
     wtp = willingness_to_pay(0.3, info, payoffs, ALPHA)
-    scenario = Scenario(info, payoffs, wtp, (0.3,))
-    assert acquisition_decision(0.3, scenario, ALPHA) is AcquisitionAction.ACQUIRE
+    assert acquisition(0.3, info, payoffs, wtp, ALPHA) is AcquisitionAction.ACQUIRE
 
 
 def test_zero_cost_always_acquires(info, payoffs):
-    scenario = Scenario(info, payoffs, 0.0, (0.95,))
-    assert acquisition_decision(0.95, scenario, ALPHA) is AcquisitionAction.ACQUIRE
+    assert acquisition(0.95, info, payoffs, 0.0, ALPHA) is AcquisitionAction.ACQUIRE
 
 
 def test_willingness_agrees_with_enumeration_oracle(payoffs):

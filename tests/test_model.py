@@ -10,17 +10,27 @@ from secondlook import (
     ALL_SIGNALS,
     ALPHA,
     BETA,
+    ConfigError,
     InformationStructure,
     InvalidProbabilityError,
     ParameterError,
     PayoffStructure,
-    Scenario,
+    RunConfig,
     Signal,
+    StateOfWorld,
+    brute_force_voi,
+    case_thresholds,
+    classify_case,
     conditional_second,
+    h_set,
+    inversion_thresholds,
     marginal_first,
+    outcome_table,
     posterior_after_both,
     posterior_after_first,
+    reciprocal_partner,
     signal_law,
+    willingness_to_pay,
 )
 from secondlook.model import check_cost, check_probability
 from secondlook.oracle import _signal_counts
@@ -162,9 +172,7 @@ def test_numpy_scalar_costs_and_payoffs_accepted_as_floats(value):
     payoffs = PayoffStructure(np.int64(1), value)
     assert type(payoffs.u_correct) is float and type(payoffs.u_wrong) is float
     assert payoffs.delta_u == 1.0 - float(value)
-    scenario = Scenario(InformationStructure(0.6, 0.8), payoffs, value, (value, np.float32(0.75)))
-    assert type(scenario.cost) is float
-    assert [type(p) for p in scenario.priors] == [float, float]
+    RunConfig(cost=value, priors=(value, np.float32(0.75))).validate()
 
 
 def test_numpy_scalar_precisions_stored_as_floats():
@@ -205,25 +213,52 @@ def test_payoffs_must_be_finite_numbers(bad):
         PayoffStructure(2.0, bad)
 
 
-@pytest.mark.parametrize("bad", ["alpha", 1, None])
-def test_signal_components_must_be_alpha_or_beta(bad):
+@pytest.mark.parametrize(
+    "bad", ["alpha", 1, None, pytest.param(StateOfWorld.A, id="StateOfWorld.A")]
+)
+def test_signal_components_must_be_alpha_or_beta(bad, info, payoffs):
     # Anything else would be read as BETA wherever a component is compared to ALPHA.
-    with pytest.raises(ParameterError):
-        Signal(bad, ALPHA)
-    with pytest.raises(ParameterError):
-        Signal(BETA, bad)
+    entry_points = {
+        "Signal first": lambda s: Signal(s, ALPHA),
+        "Signal second": lambda s: Signal(BETA, s),
+        "posterior_after_first": lambda s: posterior_after_first(0.3, info, s),
+        "posterior_after_both s1": lambda s: posterior_after_both(0.3, info, s, ALPHA),
+        "posterior_after_both s2": lambda s: posterior_after_both(0.3, info, ALPHA, s),
+        "marginal_first": lambda s: marginal_first(0.3, info, s),
+        "conditional_second": lambda s: conditional_second(0.3, info, s),
+        "case_thresholds": lambda s: case_thresholds(info, s),
+        "classify_case": lambda s: classify_case(0.3, info, s),
+        "willingness_to_pay": lambda s: willingness_to_pay(0.3, info, payoffs, s),
+        "inversion_thresholds": lambda s: inversion_thresholds(0.1, info, payoffs, s),
+        "h_set": lambda s: h_set(0.1, info, payoffs, s),
+        "h_set above the maximum": lambda s: h_set(0.5, info, payoffs, s),
+        "reciprocal_partner": lambda s: reciprocal_partner(0.3, info, payoffs, s),
+        "outcome_table": lambda s: outcome_table(0.3, info, payoffs, s),
+        "brute_force_voi": lambda s: brute_force_voi(0.3, info, payoffs, s),
+    }
+    accepted = []
+    for name, call in entry_points.items():
+        try:
+            call(bad)
+        except ParameterError:
+            continue
+        accepted.append(name)
+    assert accepted == []
 
 
-def test_scenario_validation(info, payoffs):
-    with pytest.raises(ParameterError):
-        Scenario(info, payoffs, -0.1, (0.5,))
-    with pytest.raises(ParameterError):
-        Scenario(info, payoffs, float("nan"), (0.5,))
-    with pytest.raises(ParameterError):
-        Scenario(info, payoffs, 0.1, (0.7, 0.3))
-    with pytest.raises(ParameterError):
-        Scenario(info, payoffs, 0.1, ())
-    Scenario(info, payoffs, 0.0, (0.3, 0.7))
+def test_scenario_validation():
+    # A run's cost is a cost, and its priors one prior or a pair ordered low <= high.
+    for bad in (
+        {"cost": -0.1},
+        {"cost": float("nan")},
+        {"priors": ()},
+        {"priors": (0.2, 0.3, 0.7)},
+        {"priors": (0.7, 0.3)},
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
+    RunConfig(cost=0.0, priors=(0.3, 0.7)).validate()
+    RunConfig(priors=(0.5,)).validate()
 
 
 @given(p=probs, t1=thetas, t2=thetas)
