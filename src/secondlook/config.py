@@ -7,11 +7,14 @@ parse error names the file and line, a validation error the file.
 
 Tables are emitted as CSV with a header row or as a JSON array of flat
 records.  Floats are printed with 12 significant digits in both formats so
-the two decode to identical records.  The JSON layout is the one
-``json.dumps(records, indent=2)`` gives: one record per block, indented by two
-spaces and its fields by four; each finite float is the shortest repr of its
-12-significant-digit value, and a non-finite one is written as ``json.dumps``
-writes it (``NaN``, ``Infinity``, ``-Infinity``).  Where ``%.12g`` writes a
+the two decode to identical records.  CSV is rendered by column, in chunks of
+rows: a column of one exact type (``bool``, ``int`` or ``float``) is turned
+into texts by a C-level map, each distinct float formatted once per chunk, and
+any other column cell by cell, with the same text for every cell.  The JSON
+layout is the one ``json.dumps(records, indent=2)`` gives: one record per
+block, indented by two spaces and its fields by four; each finite float is the
+shortest repr of its 12-significant-digit value, and a non-finite one is
+written as ``json.dumps`` writes it (``NaN``, ``Infinity``, ``-Infinity``).  Where ``%.12g`` writes a
 value in fixed notation (decimal exponent -4 to 11) its text, with ``.0``
 added to a whole number, already is that repr, since two different decimals
 of at most 12 significant digits never round to the same double.
@@ -19,9 +22,9 @@ of at most 12 significant digits never round to the same double.
 
 from __future__ import annotations
 
-import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ModelError
@@ -34,6 +37,9 @@ from .model import (
 )
 
 _FLOAT_FORMAT = "%.12g"
+_BOOL_TEXT = {True: "true", False: "false"}
+#: Rows per CSV render pass.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -160,18 +166,37 @@ def load_config(path) -> RunConfig:
 def _format_value(value) -> str:
     """Render one CSV table cell."""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL_TEXT[value]
     if isinstance(value, float):
         return _FLOAT_FORMAT % value
     return str(value)
 
 
+def _csv_texts(column: tuple) -> Iterator[str]:
+    """``map(_format_value, column)``, at C speed for a column of one exact type."""
+    kinds = set(map(type, column))
+    if kinds == {bool}:
+        return map(_BOOL_TEXT.__getitem__, column)
+    if kinds == {int}:
+        return map(str, column)
+    if kinds == {float}:
+        # Each distinct value is formatted once; a NaN key is found by identity.
+        texts = {v: _FLOAT_FORMAT % v for v in set(column)}
+        if 0.0 in texts:
+            # 0.0 and -0.0 are one key but print as "0" and "-0".
+            return (texts[v] if v else _FLOAT_FORMAT % v for v in column)
+        return map(texts.__getitem__, column)
+    return map(_format_value, column)
+
+
 def render_csv(columns: list[str], rows: list[tuple]) -> str:
-    out = io.StringIO()
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(map(_format_value, row)) + "\n")
-    return out.getvalue()
+    # By column, in chunks of rows, so that the cell texts of one chunk at a
+    # time are live.
+    out = [",".join(columns) + "\n"]
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        texts = map(_csv_texts, zip(*rows[start : start + _CHUNK_ROWS]))
+        out.append("\n".join(map(",".join, zip(*texts))) + "\n")
+    return "".join(out)
 
 
 def _json_cell(value) -> str:
@@ -193,15 +218,13 @@ def _json_cell(value) -> str:
 def render_json(columns: list[str], rows: list[tuple]) -> str:
     if not rows:
         return "[]\n"
-    # One str.format template per record: json.dumps with an indent runs
-    # CPython's pure-Python encoder, several times slower on large tables.
-    # The cells stay lazy maps, so each cell string is freed once its record is built.
-    lines = ",\n".join(
-        "    " + json.dumps(c).replace("{", "{{").replace("}", "}}") + ": {}" for c in columns
-    )
-    template = "  {{\n" + lines + "\n  }}"
+    # One %-template per record: json.dumps with an indent runs CPython's
+    # pure-Python encoder, several times slower on large tables.  The cells
+    # stay lazy maps, so each cell string is freed once its record is built.
+    lines = ",\n".join("    " + json.dumps(c).replace("%", "%%") + ": %s" for c in columns)
+    template = "  {\n" + lines + "\n  }"
     cells = [map(_json_cell, column) for column in zip(*rows)]
-    return "[\n" + ",\n".join(map(template.format, *cells)) + "\n]\n"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
 
 
 def render_table(columns: list[str], rows: list[tuple], fmt: str) -> str:

@@ -45,6 +45,14 @@ STDOUT_SHA256 = {
     ("wtp", "--grid", "101", "--format", "json"): (
         "a63800661d47b4f6021314ca89dbee34f161c091e51ebc4d24b4f5bae7ac0815"
     ),
+    # 60,903 rows: 15 chunks of the CSV render.
+    ("sets", "--grid", "201", "--costs", "0.05,0.1,0.2"): (
+        "6b028b0c1ca3724e8e9e04000409d9207a7321243cd088313ad14c405b4dde59"
+    ),
+    # The cost column prints -0, then 0: one float key, two texts.
+    ("sets", "--grid", "3", "--costs=-0.0,0.0"): (
+        "b8dc1933bfa0d7c02bbb4ba3ab85801e5b26fad57409302ff218c3a6e77f0767"
+    ),
 }
 
 

@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secondlook import ConfigError, DEFAULT_CONFIG, RunConfig, parse_config
-from secondlook.config import _json_cell, render_csv, render_json, render_table
+from secondlook.config import (
+    _format_value,
+    _json_cell,
+    render_csv,
+    render_json,
+    render_table,
+)
 
 SAMPLE = """
 # reference scenario
@@ -182,11 +188,12 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
         (["x"], [(v,) for v in EDGE_FLOATS]),
         (["x"], [(np.float64(v),) for v in EDGE_FLOATS]),
         (
-            ["n", 'say "hi"', "{x}", "}{0}", "back\\slash", "pr\u00efor"],
+            ["n", 'say "hi"', "{x}", "}{0}", "back\\slash", "pr\u00efor", "100%", "%s"],
             [
-                (0, True, None, "plain", 1 / 3, np.float64(0.1) * 3),
-                (-7, False, 2**70, 'quote " and \\ backslash', math.nan, "tab\tnew\nline\x00"),
-                (1, None, "\u00e9\u03b8\U0001f600", "{}{0}}", -0.0, 12),
+                (0, True, None, "plain", 1 / 3, np.float64(0.1) * 3, 0.5, "%d"),
+                (-7, False, 2**70, 'quote " and \\ backslash', math.nan, "tab\tnew\nline\x00",
+                 "%s", 100),
+                (1, None, "\u00e9\u03b8\U0001f600", "{}{0}}", -0.0, 12, "%%", None),
             ],
         ),
     ],
@@ -216,6 +223,56 @@ _cells = st.one_of(
 def test_render_json_matches_indented_dumps_property(table):
     columns, rows = table
     assert render_json(columns, rows) == indented_dumps(columns, rows)
+
+
+def per_cell_csv(columns, rows):
+    """The CSV table as first defined: each cell through _format_value, row by row."""
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(map(_format_value, row)) + "\n" for row in rows
+    )
+
+
+def _signed_zeros(n, start):
+    """n rows of (float, int, bool) whose floats run 0.0, -0.0, ... from row start on."""
+    return [
+        (0.25 if i < start else (-0.0 if (i - start) % 2 else 0.0), i, i % 3 == 0)
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (["p", "q"], []),
+        (["x"], [(v,) for v in EDGE_FLOATS]),
+        (["x"], [(v,) for v in [True, 1, 1.0, 0, False, 0.0, -0.0] * 3]),
+        (
+            ["f", "b", "none", "s"],
+            [(np.float64(v), np.bool_(i % 2), None, f"s{i}") for i, v in enumerate(EDGE_FLOATS)],
+        ),
+        # Chunk edges, with the signed zeros running across the one at 4,096.
+        (["z", "n", "flag"], _signed_zeros(4095, 4000)),
+        (["z", "n", "flag"], _signed_zeros(4096, 4000)),
+        (["z", "n", "flag"], _signed_zeros(4097, 4000)),
+        (["z", "n", "flag"], _signed_zeros(9000, 4000)),
+    ],
+    ids=["empty", "edge-floats", "mixed", "other-types", "4095", "4096", "4097", "9000"],
+)
+def test_render_csv_matches_per_cell(columns, rows):
+    assert render_csv(columns, rows) == per_cell_csv(columns, rows)
+
+
+@given(
+    st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
+        lambda columns: st.tuples(
+            st.just(columns),
+            st.lists(st.tuples(*[_cells] * len(columns)), max_size=5),
+        )
+    )
+)
+def test_render_csv_matches_per_cell_property(table):
+    columns, rows = table
+    assert render_csv(columns, rows) == per_cell_csv(columns, rows)
 
 
 def test_json_cell_is_the_repr_of_the_rounded_float():
