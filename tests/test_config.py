@@ -210,16 +210,15 @@ _cells = st.one_of(
     st.none(),
     st.text(),
 )
-
-
-@given(
-    st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
-        lambda columns: st.tuples(
-            st.just(columns),
-            st.lists(st.tuples(*[_cells] * len(columns)), max_size=5),
-        )
+_tables = st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
+    lambda columns: st.tuples(
+        st.just(columns),
+        st.lists(st.tuples(*[_cells] * len(columns)), max_size=5),
     )
 )
+
+
+@given(_tables)
 def test_render_json_matches_indented_dumps_property(table):
     columns, rows = table
     assert render_json(columns, rows) == indented_dumps(columns, rows)
@@ -262,14 +261,7 @@ def test_render_csv_matches_per_cell(columns, rows):
     assert render_csv(columns, rows) == per_cell_csv(columns, rows)
 
 
-@given(
-    st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
-        lambda columns: st.tuples(
-            st.just(columns),
-            st.lists(st.tuples(*[_cells] * len(columns)), max_size=5),
-        )
-    )
-)
+@given(_tables)
 def test_render_csv_matches_per_cell_property(table):
     columns, rows = table
     assert render_csv(columns, rows) == per_cell_csv(columns, rows)
