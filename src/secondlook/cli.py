@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import fields, replace
 from functools import partial
 from itertools import repeat
@@ -46,6 +48,7 @@ from .model import (
     BETA,
     InformationStructure,
     Signal,
+    SignalComponentValue,
     marginal_first,
     posterior_after_both,
     posterior_after_first,
@@ -178,19 +181,45 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _case_column(
+    grid: list[float], info: InformationStructure, s1: SignalComponentValue
+) -> Iterator[int]:
+    """``classify_case`` over an increasing grid, yielded one run of equal cases at a time.
+
+    After alpha the case falls from 4 to 1 as the prior rises, and after beta
+    it rises from 5 to 8, so each case is one run; bisection finds where it
+    ends by asking ``classify_case`` itself, the one statement of the tie rule.
+    """
+    sign = -1 if s1 is ALPHA else 1
+
+    def key(p):
+        return sign * classify_case(p, info, s1)
+
+    start = 0
+    while start < len(grid):
+        case = classify_case(grid[start], info, s1)
+        end = bisect_right(grid, sign * case, lo=start, key=key)
+        yield from repeat(case, end - start)
+        start = end
+
+
 def cmd_wtp(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     columns = ["p", "wtp_alpha", "wtp_beta", "case_alpha", "case_beta"]
+    grid = np.linspace(0.0, 1.0, config.grid).tolist()
     rows = [
         (
             p,
             willingness_to_pay(p, info, payoffs, ALPHA),
             willingness_to_pay(p, info, payoffs, BETA),
-            classify_case(p, info, ALPHA),
-            classify_case(p, info, BETA),
+            case_alpha,
+            case_beta,
         )
-        for p in np.linspace(0.0, 1.0, config.grid).tolist()
+        for p, case_alpha, case_beta in zip(
+            grid, _case_column(grid, info, ALPHA), _case_column(grid, info, BETA)
+        )
     ]
+    del grid  # the rows hold the priors; the list itself would only raise the peak
     _emit(render_table(columns, rows, args.format), args)
     return EXIT_OK
 

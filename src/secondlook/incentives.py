@@ -25,11 +25,15 @@ Boundary conventions, chosen once and kept everywhere:
 * a posterior of exactly 1/2 guesses A.  Any fixed rule is payoff-equivalent;
   a deterministic one keeps reference values stable.  This is the single
   point where the A/B symmetry of the model is broken.
+
+The case thresholds depend only on the precisions, so they are computed once
+per precision pair and first component and then read from a small cache.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ParameterError
 from .model import (
@@ -49,6 +53,9 @@ class AcquisitionAction(Enum):
     SKIP = "skip"
 
 
+_THRESHOLD_CACHE_SIZE = 256  # entries, one per (theta1, theta2, first component)
+
+
 def case_thresholds(info: InformationStructure, s1: SignalComponentValue) -> tuple[float, float, float]:
     """Interior case boundaries for one first-component value, in increasing order.
 
@@ -56,10 +63,15 @@ def case_thresholds(info: InformationStructure, s1: SignalComponentValue) -> tup
     cases (5|6), (6|7), (7|8).  The middle one is where the willingness to pay peaks.
     """
     check_component(s1)  # the one check for classify_case and willingness_to_pay too
-    t1, t2 = info.theta1, info.theta2
+    return _thresholds(info.theta1, info.theta2, s1 is ALPHA)
+
+
+@lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
+def _thresholds(t1: float, t2: float, after_alpha: bool) -> tuple[float, float, float]:
+    # Keyed on floats and a bool, which hash in C; info and the enum hash in Python.
     same = 1.0 - t1 - t2 + 2.0 * t1 * t2  # P(components agree | either state)
     diff = t1 + t2 - 2.0 * t1 * t2  # P(components disagree | either state)
-    if s1 is ALPHA:
+    if after_alpha:
         return ((1.0 - t1) * (1.0 - t2) / same, 1.0 - t1, t2 * (1.0 - t1) / diff)
     return (t1 * (1.0 - t2) / diff, t1, t1 * t2 / same)
 
@@ -141,7 +153,8 @@ def willingness_to_pay(
         value = ((1.0 - t1) * t2 * p - t1 * (1.0 - t2) * q) / ((1.0 - t1) * p + t1 * q)
     else:  # case 7
         value = (t1 * t2 * q - (1.0 - t1) * (1.0 - t2) * p) / ((1.0 - t1) * p + t1 * q)
-    return max(0.0, payoffs.delta_u * value)
+    value *= payoffs.delta_u
+    return value if value > 0.0 else 0.0  # as max(0.0, value): -0.0 and NaN give 0.0
 
 
 def max_willingness_to_pay(

@@ -242,12 +242,14 @@ def signal_law(
     p = check_probability(p)
     if law not in ("coupled", "product"):
         raise ParameterError(f"unknown signal law {law!r}; expected 'coupled' or 'product'")
-    return tuple(
-        marginal_first(p, info, s.first)
-        * conditional_second(
-            posterior_after_first(p, info, s.first) if law == "coupled" else p,
-            info,
-            s.second,
-        )
-        for s in ALL_SIGNALS
-    )
+    components = (ALPHA, BETA)  # ALL_SIGNALS order: first component outer, second inner
+
+    def second_law(belief):
+        return [conditional_second(belief, info, s2) for s2 in components]
+
+    firsts = [marginal_first(p, info, s1) for s1 in components]
+    if law == "product":  # one second-component law at p, shared by both first components
+        seconds = [second_law(p)] * 2
+    else:
+        seconds = [second_law(posterior_after_first(p, info, s1)) for s1 in components]
+    return tuple(first * second for first, row in zip(firsts, seconds) for second in row)

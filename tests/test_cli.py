@@ -7,13 +7,18 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secondlook import (
     ALPHA,
+    BETA,
     ConfigError,
     InformationStructure,
     PayoffStructure,
     RunConfig,
+    case_thresholds,
+    classify_case,
     classify_pair,
     cli,
     sets,
@@ -53,6 +58,17 @@ STDOUT_SHA256 = {
     ("sets", "--grid", "3", "--costs=-0.0,0.0"): (
         "b8dc1933bfa0d7c02bbb4ba3ab85801e5b26fad57409302ff218c3a6e77f0767"
     ),
+    # Case runs of length 1.
+    ("wtp", "--grid", "2"): (
+        "7e8a8da8b5afb76c5f5463925b24fe23273c14b11e60745ad91a67bc4c66ebbd"
+    ),
+    ("wtp", "--grid", "1001", "--theta1", "0.9", "--theta2", "0.95"): (
+        "528505fd7ca6c0143620469a9a40268832162b5212b933f4617d400c1339cad0"
+    ),
+    # theta2 < theta1.
+    ("wtp", "--grid", "1001", "--theta1", "0.95", "--theta2", "0.55", "--format", "json"): (
+        "69e1840139e70eefea603ec5a78ff048bb8d00dae683ef5f7c5350ab7a4b29b4"
+    ),
 }
 
 
@@ -72,6 +88,21 @@ def test_wtp_sweep_reference_rows(capsys):
     assert float(rows["0.5"]["wtp_beta"]) == pytest.approx(0.2, abs=1e-9)
     assert rows["0.4"]["case_alpha"] == "2"  # boundary tie takes the lower number
     assert rows["0.1"]["case_beta"] == "5"
+
+
+_precisions = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(deadline=None)
+@given(t1=_precisions, t2=_precisions, n=st.integers(2, 5000), ties=st.booleans())
+def test_wtp_case_runs_match_the_per_prior_rule(t1, t2, n, ties):
+    info = InformationStructure(t1, t2)
+    grid = np.linspace(0.0, 1.0, n).tolist()
+    if ties:  # the thresholds themselves, where the tie rule decides
+        grid = sorted(grid + [*case_thresholds(info, ALPHA), *case_thresholds(info, BETA)])
+    for s1 in (ALPHA, BETA):
+        column = list(cli._case_column(grid, info, s1))
+        assert column == [classify_case(p, info, s1) for p in grid]
 
 
 def test_wtp_json_matches_csv(capsys):

@@ -19,6 +19,7 @@ from secondlook import (
     realized_posterior,
     willingness_to_pay,
 )
+from secondlook import incentives
 
 thetas = st.floats(min_value=0.505, max_value=0.995)
 
@@ -183,3 +184,30 @@ def test_willingness_agrees_with_enumeration_oracle(payoffs):
                 closed = willingness_to_pay(float(p), info, payoffs, s1)
                 brute = brute_force_voi(float(p), info, payoffs, s1)
                 assert abs(closed - brute) <= 1e-10
+
+
+@given(t1=thetas, t2=thetas)
+def test_cached_thresholds_are_the_arithmetic_bit_for_bit(t1, t2):
+    info = InformationStructure(t1, t2)
+    for s1 in (ALPHA, BETA):
+        cached = case_thresholds(info, s1)
+        fresh = incentives._thresholds.__wrapped__(t1, t2, s1 is ALPHA)
+        assert [x.hex() for x in cached] == [x.hex() for x in fresh]
+        assert case_thresholds(info, s1) is cached
+
+
+def test_cached_thresholds_still_check_the_component(info, payoffs):
+    case_thresholds(info, ALPHA)  # the same precisions are now cached
+    with pytest.raises(ParameterError):
+        case_thresholds(info, "alpha")
+    with pytest.raises(ParameterError):
+        classify_case(0.3, info, "alpha")
+    with pytest.raises(ParameterError):
+        willingness_to_pay(0.3, info, payoffs, "alpha")
+
+
+def test_threshold_cache_is_bounded():
+    for i in range(3 * incentives._THRESHOLD_CACHE_SIZE):
+        case_thresholds(InformationStructure(0.6 + i * 1e-4, 0.8), ALPHA)
+    stats = incentives._thresholds.cache_info()
+    assert stats.currsize == stats.maxsize == incentives._THRESHOLD_CACHE_SIZE

@@ -148,6 +148,18 @@ def test_signal_law_properties(p, t1, t2):
         assert abs(sum(product[rows]) - first) <= 1e-15
 
 
+@given(p=probs, t1=thetas, t2=thetas)
+def test_signal_law_weights_are_the_stated_products_bit_for_bit(p, t1, t2):
+    info = InformationStructure(t1, t2)
+    for law in ("coupled", "product"):
+        for signal, weight in zip(ALL_SIGNALS, signal_law(p, info, law)):
+            belief = posterior_after_first(p, info, signal.first) if law == "coupled" else p
+            stated = marginal_first(p, info, signal.first) * conditional_second(
+                belief, info, signal.second
+            )
+            assert weight.hex() == stated.hex()
+
+
 @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), True, False, "0.3"])
 def test_invalid_probabilities_rejected(info, bad):
     with pytest.raises(InvalidProbabilityError):
