@@ -15,11 +15,11 @@ from secondlook import (
     case_interval,
     case_thresholds,
     classify_case,
+    incentives,
     max_willingness_to_pay,
     realized_posterior,
     willingness_to_pay,
 )
-from secondlook import incentives
 
 thetas = st.floats(min_value=0.505, max_value=0.995)
 
