@@ -46,13 +46,11 @@ from .sets import (
     ExtremeSets,
     PairClass,
     ProbabilityInterval,
-    ReciprocityReport,
     classify_pair,
     extreme_sets,
     h_set,
     inversion_thresholds,
     reciprocal_partner,
-    reciprocity_report,
 )
 from .patterns import (
     ConfirmationReport,
@@ -64,7 +62,6 @@ from .patterns import (
     disconfirmation_report,
     pairwise_outcome,
     polarization_feasible,
-    polarization_partners,
     polarization_probability,
     reaction_report,
     realized_posterior,

@@ -33,12 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndifferentPriorError, OrderingError, ParameterError
-from .incentives import (
-    AcquisitionAction,
-    max_willingness_to_pay,
-    willingness_to_pay,
-)
+from .errors import IndifferentPriorError, OrderingError
+from .incentives import AcquisitionAction, willingness_to_pay
 from .model import (
     ALPHA,
     BETA,
@@ -51,7 +47,7 @@ from .model import (
     posterior_after_first,
     signal_law,
 )
-from .sets import ProbabilityInterval, b_memberships, h_set, v_memberships
+from .sets import b_memberships, v_memberships
 
 
 def realized_posterior(
@@ -134,7 +130,6 @@ class PolarizationFeasibility:
     via_beta: bool
     via_alpha_swap: bool
     via_beta_swap: bool
-    cost: float | None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -204,7 +199,7 @@ def polarization_feasible(
         posterior_after_first(p_j, info, BETA),
     )
     routes = polarization_routes(theta_ok, p_i, p_j, one_sided, crossing)
-    return PolarizationFeasibility(any(routes), *routes, cost=c)
+    return PolarizationFeasibility(any(routes), *routes)
 
 
 def polarization_probability(
@@ -229,55 +224,6 @@ def polarization_probability(
     feas = polarization_feasible(p_i, p_j, info, payoffs, check_cost(c))
     _, alpha_beta, beta_alpha, _ = signal_law(p_subjective, info, "product")
     return (alpha_beta if feas.via_alpha else 0.0) + (beta_alpha if feas.via_beta else 0.0)
-
-
-def polarization_partners(
-    p_i: float,
-    c: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-) -> tuple[ProbabilityInterval, ...]:
-    """Priors guaranteed to polarize against ``p_i`` with positive probability.
-
-    Requires an interior prior, a cost strictly inside (0, maximum), and a
-    strictly more informative second component.  The returned union of
-    intervals is always non-empty: whichever of the acquisition interval
-    H_alpha(c) or its flanks contains ``p_i``, the opposite region supplies
-    partners, and the beta-side analysis contributes its mirror image.
-    """
-    p_i = check_probability(p_i, "p_i")
-    if not 0.0 < p_i < 1.0:
-        raise ParameterError(f"partner analysis needs an interior prior, got {p_i}")
-    h_alpha = h_set(c, info, payoffs, ALPHA)
-    h_beta = h_set(c, info, payoffs, BETA)
-    # H(c) holds no prior from the maximum on, and also just below it, where
-    # its thresholds meet at the peak to within round-off.
-    if not (c > 0.0 and h_alpha.length > 0.0 and h_beta.length > 0.0):
-        raise ParameterError(
-            "cost must lie strictly between 0 and the maximum "
-            f"{max_willingness_to_pay(info, payoffs)}, got {c}"
-        )
-    if not info.theta2 > info.theta1:
-        raise ParameterError(
-            "partners exist only when the second component is strictly more "
-            f"informative (theta1={info.theta1}, theta2={info.theta2})"
-        )
-    partners: list[ProbabilityInterval] = []
-    # Alpha-side analysis: the low prior must acquire after alpha, the high
-    # one must not.
-    if p_i in h_alpha:
-        partners.append(ProbabilityInterval.closed(h_alpha.upper, 1.0))
-    if p_i >= h_alpha.upper:
-        partners.append(h_alpha)
-    if p_i <= h_alpha.lower:
-        partners.append(h_beta)
-    # Beta-side mirror: the high prior must acquire after beta, the low one
-    # must not.
-    if p_i in h_beta:
-        partners.append(ProbabilityInterval.closed(0.0, h_beta.lower))
-    if p_i <= h_beta.lower and p_i > h_alpha.lower:
-        partners.append(h_beta)
-    return tuple(partners)
 
 
 @dataclass(frozen=True)

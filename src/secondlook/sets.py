@@ -47,10 +47,6 @@ from .model import (
     check_probability,
 )
 
-#: Two willingness values this close count as equal in :func:`reciprocity_report`.
-RECIPROCITY_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ProbabilityInterval:
     """An interval of probabilities; emptiness is explicit, not encoded by bounds."""
@@ -85,10 +81,6 @@ class ProbabilityInterval:
         above = p >= self.lower if self.closed_lower else p > self.lower
         below = p <= self.upper if self.closed_upper else p < self.upper
         return above and below
-
-    @property
-    def length(self) -> float:
-        return 0.0 if self.empty else self.upper - self.lower
 
 
 def inversion_thresholds(
@@ -300,54 +292,3 @@ def classify_pair(
         tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in (p_i, p_j)
     )
     return PairClass(*b_memberships(low, high, c), *v_memberships(low, high))
-
-
-@dataclass(frozen=True)
-class ReciprocityReport:
-    """Willingness-to-pay comparison of two priors across both first components."""
-
-    wtp_alpha: tuple[float, float]
-    wtp_beta: tuple[float, float]
-    reciprocal_alpha: bool
-    reciprocal_beta: bool
-
-    @property
-    def consistent(self) -> bool:
-        # Equal willingness after one component forces unequal after the other.
-        return not (self.reciprocal_alpha and self.reciprocal_beta)
-
-
-def reciprocity_report(
-    p_i: float,
-    p_j: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-) -> ReciprocityReport:
-    """Check whether two distinct priors share admissible costs for some component.
-
-    Reciprocity for a component requires both priors to be non-extreme for it
-    and their willingness to pay there to coincide (within
-    :data:`RECIPROCITY_TOL`); it can hold for at most one of the two components.
-    """
-    p_i = check_probability(p_i, "p_i")
-    p_j = check_probability(p_j, "p_j")
-    if p_i == p_j:
-        raise OrderingError("reciprocity is defined for distinct priors only")
-    wtp_a = (
-        willingness_to_pay(p_i, info, payoffs, ALPHA),
-        willingness_to_pay(p_j, info, payoffs, ALPHA),
-    )
-    wtp_b = (
-        willingness_to_pay(p_i, info, payoffs, BETA),
-        willingness_to_pay(p_j, info, payoffs, BETA),
-    )
-    ne_a = h_set(0.0, info, payoffs, ALPHA)
-    ne_b = h_set(0.0, info, payoffs, BETA)
-    rec_a = p_i in ne_a and p_j in ne_a and abs(wtp_a[0] - wtp_a[1]) <= RECIPROCITY_TOL
-    rec_b = p_i in ne_b and p_j in ne_b and abs(wtp_b[0] - wtp_b[1]) <= RECIPROCITY_TOL
-    return ReciprocityReport(
-        wtp_alpha=wtp_a,
-        wtp_beta=wtp_b,
-        reciprocal_alpha=rec_a,
-        reciprocal_beta=rec_b,
-    )

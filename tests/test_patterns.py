@@ -23,7 +23,6 @@ from secondlook import (
     pairwise_outcome,
     pattern_probability,
     polarization_feasible,
-    polarization_partners,
     polarization_probability,
     posterior_after_both,
     reaction_report,
@@ -32,6 +31,7 @@ from secondlook import (
 )
 from secondlook.model import check_cost
 from secondlook.patterns import polarization_routes, polarization_verdict
+from secondlook.sets import b_memberships
 
 
 def test_realized_posterior_reference(info, payoffs):
@@ -270,68 +270,46 @@ def test_all_routes_probability_bound_sampled(payoffs):
         assert pattern_probability("PB", p, p_i, info, payoffs, c, p_j=p_j) <= 0.5 + 1e-15
 
 
-def test_polarization_partners_inside_acquisition_interval(info, payoffs):
-    partners = polarization_partners(0.3, 0.1, info, payoffs)
-    hi = h_set(0.1, info, payoffs, ALPHA).upper
-    assert any(
-        iv.closed_upper and iv.upper == 1.0 and iv.lower == pytest.approx(hi, abs=1e-12)
-        for iv in partners
-    )
-    # sampled partner from the upper flank indeed polarizes against 0.3
+def test_every_interior_prior_has_an_in_order_partner(info, payoffs):
+    # A candidate partner shares an in-order B set with p at the cost: the
+    # lower of the two alone acquires after alpha, or the higher alone after
+    # beta.  The B rows against a 1001-point grid find the first candidate
+    # below p, else above it, and polarization_feasible confirms it.
+    grid = np.linspace(0.0, 1.0, 1001)
+    for thetas in ((0.6, 0.8), (0.9, 0.95)):
+        structure = InformationStructure(*thetas)
+        ceiling = max_willingness_to_pay(structure, payoffs)
+        wtp = np.array(
+            [
+                [willingness_to_pay(float(q), structure, payoffs, s1) for q in grid]
+                for s1 in (ALPHA, BETA)
+            ]
+        )
+        for c in (0.1 * ceiling, 0.5 * ceiling, 0.95 * ceiling):
+            for p in np.linspace(0.01, 0.99, 99):
+                p = float(p)
+                own = tuple(willingness_to_pay(p, structure, payoffs, s1) for s1 in (ALPHA, BETA))
+                below, above = grid < p, grid > p
+                low_alpha, high_beta, _, _ = b_memberships(wtp[:, below], own, c)
+                in_order_below = low_alpha | high_beta
+                low_alpha, high_beta, _, _ = b_memberships(own, wtp[:, above], c)
+                in_order_above = low_alpha | high_beta
+                if in_order_below.any():
+                    pair = float(grid[below][in_order_below.argmax()]), p
+                else:
+                    assert in_order_above.any(), (thetas, c, p)
+                    pair = p, float(grid[above][in_order_above.argmax()])
+                feas = polarization_feasible(*pair, structure, payoffs, c)
+                assert feas.via_alpha or feas.via_beta, (thetas, c, pair)
+    # Next to the closed-form ends of the open H(c) the weak acquisition rule
+    # decides: 0.5 pays 0.04999999999999993 after beta, so it skips at 0.05.
+    strong = InformationStructure(0.9, 0.95)
+    assert willingness_to_pay(0.5, strong, payoffs, BETA) < 0.05
+    for p_low in (1e-7, 0.005):
+        assert not polarization_feasible(p_low, 0.5, strong, payoffs, 0.05)
     assert polarization_feasible(0.3, 0.7, info, payoffs, 0.1)
-
-
-def test_polarization_partners_upper_flank(info, payoffs):
-    partners = polarization_partners(0.9, 0.1, info, payoffs)
-    h_alpha = h_set(0.1, info, payoffs, ALPHA)
-    assert any(
-        iv.lower == pytest.approx(h_alpha.lower, abs=1e-12)
-        and iv.upper == pytest.approx(h_alpha.upper, abs=1e-12)
-        for iv in partners
-    )
     assert polarization_feasible(0.4, 0.9, info, payoffs, 0.1)
-
-
-def test_polarization_partners_lower_flank(info, payoffs):
-    partners = polarization_partners(0.1, 0.1, info, payoffs)
-    h_beta = h_set(0.1, info, payoffs, BETA)
-    assert any(
-        iv.lower == pytest.approx(h_beta.lower, abs=1e-12)
-        and iv.upper == pytest.approx(h_beta.upper, abs=1e-12)
-        for iv in partners
-    )
     assert polarization_feasible(0.1, 0.5, info, payoffs, 0.1)
-
-
-def test_polarization_partners_nonempty_across_interior(info, payoffs):
-    for p in np.linspace(0.01, 0.99, 99):
-        partners = polarization_partners(float(p), 0.1, info, payoffs)
-        assert partners
-        assert all(not iv.empty for iv in partners)
-
-
-def test_polarization_partners_sampled_pairs_feasible(info, payoffs):
-    rng = np.random.default_rng(14)
-    for p_i in np.linspace(0.05, 0.95, 19):
-        p_i = float(p_i)
-        for interval in polarization_partners(p_i, 0.1, info, payoffs):
-            span = interval.upper - interval.lower
-            p_j = interval.lower + span * float(rng.uniform(0.25, 0.75))
-            if abs(p_j - p_i) < 1e-6:
-                continue
-            lo, hi = min(p_i, p_j), max(p_i, p_j)
-            assert polarization_feasible(lo, hi, info, payoffs, 0.1)
-
-
-def test_polarization_partners_preconditions(info, payoffs):
-    with pytest.raises(ParameterError):
-        polarization_partners(0.0, 0.1, info, payoffs)
-    with pytest.raises(ParameterError):
-        polarization_partners(0.3, 0.0, info, payoffs)
-    with pytest.raises(ParameterError):
-        polarization_partners(0.3, 0.3, info, payoffs)  # cost at the peak
-    with pytest.raises(ParameterError):
-        polarization_partners(0.3, 0.1, InformationStructure(0.8, 0.6), payoffs)
 
 
 def test_disconfirmation_reference(info, payoffs):

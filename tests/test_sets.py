@@ -22,7 +22,6 @@ from secondlook import (
     inversion_thresholds,
     max_willingness_to_pay,
     reciprocal_partner,
-    reciprocity_report,
     realized_posterior,
     willingness_to_pay,
 )
@@ -43,7 +42,7 @@ def test_probability_interval_basics():
     closed_iv = ProbabilityInterval.closed(0.2, 0.6)
     assert 0.2 in closed_iv and 0.6 in closed_iv
     empty = ProbabilityInterval.empty_interval()
-    assert 0.5 not in empty and empty.length == 0.0
+    assert empty.empty and 0.5 not in empty
     with pytest.raises(ParameterError):
         ProbabilityInterval.open(0.7, 0.2)
 
@@ -348,24 +347,44 @@ def test_b_sets_read_the_acquisition_rule(priors, thetas, pick):
         assert member == (acquires(acquirer, first) and not acquires(other, first))
 
 
-def test_reciprocity_report_for_matched_willingness(info, payoffs):
-    lo, hi = inversion_thresholds(0.1, info, payoffs, ALPHA)
-    report = reciprocity_report(lo, hi, info, payoffs)
-    assert report.reciprocal_alpha
-    assert not report.reciprocal_beta
-    assert report.consistent
-    # equal willingness after alpha forces distinct willingness after beta
-    assert abs(report.wtp_beta[0] - report.wtp_beta[1]) > 1e-6
+# Reciprocity after both components would make the two partners of a prior
+# coincide.  Priors are drawn inside the intersection of the two non-extreme
+# intervals, which is empty for some precisions when theta1 > theta2.
+@given(
+    t1=st.floats(0.51, 0.99),
+    t2=st.floats(0.51, 0.99),
+    u=st.floats(1e-12, 1.0 - 1e-12),
+)
+def test_reciprocal_on_at_most_one_component(t1, t2, u):
+    info, payoffs = InformationStructure(t1, t2), PayoffStructure(1.0, 0.0)
+    ne_alpha, ne_beta = (h_set(0.0, info, payoffs, s1) for s1 in (ALPHA, BETA))
+    lower, upper = max(ne_alpha.lower, ne_beta.lower), min(ne_alpha.upper, ne_beta.upper)
+    assume(lower < upper)
+    p = lower + u * (upper - lower)
+    assume(p in ne_alpha and p in ne_beta)
+    assert reciprocal_partner(p, info, payoffs, ALPHA) != reciprocal_partner(
+        p, info, payoffs, BETA
+    )
 
 
-def test_reciprocity_report_reference_pair_not_reciprocal(info, payoffs):
-    report = reciprocity_report(0.3, 0.7, info, payoffs)
-    assert not report.reciprocal_alpha
-    assert not report.reciprocal_beta
-    assert report.wtp_alpha[0] == pytest.approx(0.1913, abs=5e-4)
-    assert report.wtp_alpha[1] == pytest.approx(0.0222, abs=5e-4)
-
-
-def test_reciprocity_report_rejects_identical_priors(info, payoffs):
-    with pytest.raises(OrderingError):
-        reciprocity_report(0.4, 0.4, info, payoffs)
+# Each endpoint is a closed form of a few float operations, so at two costs
+# a few ulps apart it can move the wrong way by a few ulps (by 1 in the
+# explicit example, and by at most 4 in 200,000 sampled pairs of nearby
+# costs).  The property allows 8.
+@given(
+    t1=st.floats(0.51, 0.99),
+    t2=st.floats(0.51, 0.99),
+    low=st.floats(0.0, 1.0, exclude_max=True),
+    high=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(t1=0.81, t2=0.65, low=0.51, high=math.nextafter(0.51, 1.0))
+def test_h_set_nests_as_cost_falls(t1, t2, low, high):
+    info, payoffs = InformationStructure(t1, t2), PayoffStructure(1.0, 0.0)
+    ceiling = max_willingness_to_pay(info, payoffs)
+    c_low, c_high = sorted((low * ceiling, high * ceiling))
+    assume(c_high < ceiling)
+    for s1 in (ALPHA, BETA):
+        wide, narrow = h_set(c_low, info, payoffs, s1), h_set(c_high, info, payoffs, s1)
+        assert narrow.lower <= narrow.upper
+        assert wide.lower <= narrow.lower + 8 * math.ulp(narrow.lower)
+        assert narrow.upper <= wide.upper + 8 * math.ulp(wide.upper)
