@@ -270,46 +270,98 @@ def test_all_routes_probability_bound_sampled(payoffs):
         assert pattern_probability("PB", p, p_i, info, payoffs, c, p_j=p_j) <= 0.5 + 1e-15
 
 
-def test_every_interior_prior_has_an_in_order_partner(info, payoffs):
-    # A candidate partner shares an in-order B set with p at the cost: the
-    # lower of the two alone acquires after alpha, or the higher alone after
-    # beta.  The B rows against a 1001-point grid find the first candidate
-    # below p, else above it, and polarization_feasible confirms it.
+def _in_order_partners(p, structure, payoffs, c, grid):
+    """Grid priors that share an in-order B set with ``p`` at the cost.
+
+    The lower of the two alone acquires after alpha, or the higher alone
+    after beta; returns the candidates below ``p`` and those above it.
+    """
+    wtp = np.array(
+        [[willingness_to_pay(float(q), structure, payoffs, s1) for q in grid] for s1 in (ALPHA, BETA)]
+    )
+    own = tuple(willingness_to_pay(p, structure, payoffs, s1) for s1 in (ALPHA, BETA))
+    below, above = grid < p, grid > p
+    low_alpha, high_beta, _, _ = b_memberships(wtp[:, below], own, c)
+    in_order_below = grid[below][low_alpha | high_beta]
+    low_alpha, high_beta, _, _ = b_memberships(own, wtp[:, above], c)
+    in_order_above = grid[above][low_alpha | high_beta]
+    return in_order_below, in_order_above
+
+
+def test_polarization_partners_inside_acquisition_interval(info, payoffs):
+    # 0.3 acquires after alpha at 0.1 and every prior from the upper end of
+    # H_alpha(0.1) up to 1 skips, so each polarizes against 0.3 in order.
+    h_alpha = h_set(0.1, info, payoffs, ALPHA)
+    assert 0.3 in h_alpha
+    for q in np.linspace(h_alpha.upper, 1.0, 21):
+        feas = polarization_feasible(0.3, float(q), info, payoffs, 0.1)
+        assert feas.via_alpha, q
+    assert polarization_feasible(0.3, 0.7, info, payoffs, 0.1)
+
+
+def test_polarization_partners_upper_flank(info, payoffs):
+    # 0.9 skips after alpha at 0.1; every prior inside H_alpha(0.1) acquires
+    # alone after alpha below it and so polarizes against 0.9.
+    h_alpha = h_set(0.1, info, payoffs, ALPHA)
+    assert 0.9 not in h_alpha and h_alpha.upper < 0.9
+    for q in np.linspace(h_alpha.lower, h_alpha.upper, 23)[1:-1]:
+        feas = polarization_feasible(float(q), 0.9, info, payoffs, 0.1)
+        assert feas.via_alpha, q
+    assert polarization_feasible(0.4, 0.9, info, payoffs, 0.1)
+
+
+def test_polarization_partners_lower_flank(info, payoffs):
+    # 0.1 skips after beta at 0.1; every prior inside H_beta(0.1) acquires
+    # alone after beta above it and so polarizes against 0.1.
+    h_beta = h_set(0.1, info, payoffs, BETA)
+    assert 0.1 not in h_beta and h_beta.lower > 0.1
+    for q in np.linspace(h_beta.lower, h_beta.upper, 23)[1:-1]:
+        feas = polarization_feasible(0.1, float(q), info, payoffs, 0.1)
+        assert feas.via_beta, q
+    assert polarization_feasible(0.1, 0.5, info, payoffs, 0.1)
+
+
+def test_polarization_partners_nonempty_across_interior(payoffs):
+    # Every interior prior has an in-order partner on a 1001-point grid, at
+    # two precision pairs and three costs below the ceiling, and the first
+    # one found polarizes.
     grid = np.linspace(0.0, 1.0, 1001)
     for thetas in ((0.6, 0.8), (0.9, 0.95)):
         structure = InformationStructure(*thetas)
         ceiling = max_willingness_to_pay(structure, payoffs)
-        wtp = np.array(
-            [
-                [willingness_to_pay(float(q), structure, payoffs, s1) for q in grid]
-                for s1 in (ALPHA, BETA)
-            ]
-        )
         for c in (0.1 * ceiling, 0.5 * ceiling, 0.95 * ceiling):
             for p in np.linspace(0.01, 0.99, 99):
                 p = float(p)
-                own = tuple(willingness_to_pay(p, structure, payoffs, s1) for s1 in (ALPHA, BETA))
-                below, above = grid < p, grid > p
-                low_alpha, high_beta, _, _ = b_memberships(wtp[:, below], own, c)
-                in_order_below = low_alpha | high_beta
-                low_alpha, high_beta, _, _ = b_memberships(own, wtp[:, above], c)
-                in_order_above = low_alpha | high_beta
-                if in_order_below.any():
-                    pair = float(grid[below][in_order_below.argmax()]), p
+                below, above = _in_order_partners(p, structure, payoffs, c, grid)
+                if below.size:
+                    pair = float(below[0]), p
                 else:
-                    assert in_order_above.any(), (thetas, c, p)
-                    pair = p, float(grid[above][in_order_above.argmax()])
+                    assert above.size, (thetas, c, p)
+                    pair = p, float(above[0])
                 feas = polarization_feasible(*pair, structure, payoffs, c)
                 assert feas.via_alpha or feas.via_beta, (thetas, c, pair)
-    # Next to the closed-form ends of the open H(c) the weak acquisition rule
-    # decides: 0.5 pays 0.04999999999999993 after beta, so it skips at 0.05.
+
+
+def test_polarization_partners_sampled_pairs_feasible(info, payoffs):
+    # Every in-order candidate on a 201-point grid polarizes at the cost.
+    grid = np.linspace(0.0, 1.0, 201)
+    for p_i in np.linspace(0.05, 0.95, 19):
+        p_i = float(p_i)
+        below, above = _in_order_partners(p_i, info, payoffs, 0.1, grid)
+        assert below.size or above.size, p_i
+        for q in below:
+            assert polarization_feasible(float(q), p_i, info, payoffs, 0.1), (q, p_i)
+        for q in above:
+            assert polarization_feasible(p_i, float(q), info, payoffs, 0.1), (p_i, q)
+
+
+def test_weak_acquisition_decides_next_to_the_open_h_set_ends(payoffs):
+    # 0.5 pays 0.04999999999999993 after beta, so it skips at 0.05 and no
+    # prior below it acquires alone after alpha there.
     strong = InformationStructure(0.9, 0.95)
     assert willingness_to_pay(0.5, strong, payoffs, BETA) < 0.05
     for p_low in (1e-7, 0.005):
         assert not polarization_feasible(p_low, 0.5, strong, payoffs, 0.05)
-    assert polarization_feasible(0.3, 0.7, info, payoffs, 0.1)
-    assert polarization_feasible(0.4, 0.9, info, payoffs, 0.1)
-    assert polarization_feasible(0.1, 0.5, info, payoffs, 0.1)
 
 
 def test_disconfirmation_reference(info, payoffs):
