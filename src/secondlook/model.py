@@ -155,10 +155,24 @@ def check_probability(p: float, name: str = "p") -> float:
     return value
 
 
-def _likelihood(theta: float, value: SignalComponentValue, state: StateOfWorld) -> float:
-    # P(component = value | state) for a symmetric binary component.
-    matches = (value is ALPHA) == (state is StateOfWorld.A)
-    return theta if matches else 1.0 - theta
+def _likelihoods(theta: float, value: SignalComponentValue) -> tuple[float, float]:
+    # (P(value | A), P(value | B)) for a symmetric binary component: the one
+    # statement of the component law.
+    return (theta, 1.0 - theta) if value is ALPHA else (1.0 - theta, theta)
+
+
+def _posterior(p, info: InformationStructure, s1: SignalComponentValue, s2=None):
+    # Bayes' rule after the first component, or after both when ``s2`` is
+    # given.  ``p`` is a validated float or a numpy row of them, and the
+    # result is the same: the one statement of the updating step.
+    la, lb = _likelihoods(info.theta1, s1)
+    if s2 is not None:
+        la2, lb2 = _likelihoods(info.theta2, s2)
+        la, lb = la * la2, lb * lb2
+        if la == lb:  # uninformative, e.g. opposing components at equal precisions
+            return p
+    num = la * p
+    return num / (num + lb * (1.0 - p))
 
 
 def posterior_after_first(
@@ -168,12 +182,7 @@ def posterior_after_first(
 
     Monotone increasing in the prior; degenerate priors 0 and 1 are absorbing.
     """
-    p = check_probability(p)
-    check_component(s1)
-    la = _likelihood(info.theta1, s1, StateOfWorld.A)
-    lb = _likelihood(info.theta1, s1, StateOfWorld.B)
-    num = la * p
-    return num / (num + lb * (1.0 - p))
+    return _posterior(check_probability(p), info, check_component(s1))
 
 
 def posterior_after_both(
@@ -187,19 +196,7 @@ def posterior_after_both(
     Equals two chained single-component updates, first with theta1 then with
     theta2, because the components are conditionally independent.
     """
-    p = check_probability(p)
-    check_component(s1)
-    check_component(s2)
-    la = _likelihood(info.theta1, s1, StateOfWorld.A) * _likelihood(
-        info.theta2, s2, StateOfWorld.A
-    )
-    lb = _likelihood(info.theta1, s1, StateOfWorld.B) * _likelihood(
-        info.theta2, s2, StateOfWorld.B
-    )
-    if la == lb:  # uninformative, e.g. opposing components at equal precisions
-        return p
-    num = la * p
-    return num / (num + lb * (1.0 - p))
+    return _posterior(check_probability(p), info, check_component(s1), check_component(s2))
 
 
 def marginal_first(
@@ -207,10 +204,8 @@ def marginal_first(
 ) -> float:
     """Unconditional probability that the first component takes value ``s1``."""
     p = check_probability(p)
-    check_component(s1)
-    return p * _likelihood(info.theta1, s1, StateOfWorld.A) + (1.0 - p) * _likelihood(
-        info.theta1, s1, StateOfWorld.B
-    )
+    like_a, like_b = _likelihoods(info.theta1, check_component(s1))
+    return p * like_a + (1.0 - p) * like_b
 
 
 def conditional_second(
@@ -222,10 +217,8 @@ def conditional_second(
     so this is just the second-component marginal evaluated at that belief.
     """
     q = check_probability(p_after_first, "p_after_first")
-    check_component(s2)
-    return q * _likelihood(info.theta2, s2, StateOfWorld.A) + (1.0 - q) * _likelihood(
-        info.theta2, s2, StateOfWorld.B
-    )
+    like_a, like_b = _likelihoods(info.theta2, check_component(s2))
+    return q * like_a + (1.0 - q) * like_b
 
 
 def signal_law(

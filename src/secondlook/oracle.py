@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import OrderingError, ParameterError, UnknownPatternError
 from .incentives import (
-    AcquisitionAction,
     case_thresholds,
     max_willingness_to_pay,
     willingness_to_pay,
@@ -44,8 +43,6 @@ from .model import (
     check_probability,
     conditional_second,
     marginal_first,
-    posterior_after_both,
-    posterior_after_first,
     signal_law,
 )
 from .patterns import (
@@ -55,7 +52,7 @@ from .patterns import (
     polarization_routes,
     polarization_verdict,
     reaction_report,
-    realized_posterior,
+    realized_rows,
 )
 from .sets import b_memberships, extreme_sets, inversion_thresholds
 
@@ -396,24 +393,49 @@ def _wtp_by_first(
 # violation; ``grid_theorem_check`` prefixes theta1, theta2 and cost to the
 # params.
 #
-# The pairwise claims take each prior's values from the scalar API once per
-# slice, then compare one low prior with all higher ones at a time as numpy
-# rows of the pair triangle, in ``combinations`` order and O(n) memory.  The
-# rows go through the pair laws the scalar API applies to one pair
-# (``b_memberships``, ``polarization_verdict``, ``polarization_routes``).
+# ``polarization`` and ``one_sided_updating`` build each prior's values once
+# per slice, as rows: the characterization side from the oracle's own
+# willingness, the definition side from ``realized_rows``, which reads
+# willingness through ``patterns``.  They then compare the priors in 2-D
+# blocks of the pair triangle, each a run of low priors by the priors after
+# them, masked to ``j > i`` and at most ``_PAIR_BLOCK`` cells, so memory is
+# O(block) whatever the grid.  ``np.nonzero`` reads a block in row-major
+# order, so violations come in ``combinations`` order, and in (pair, signal)
+# order.  The blocks go through the pair laws the scalar API applies to one
+# pair (``b_memberships``, ``polarization_verdict``, ``polarization_routes``).
+# The mirrored checks evaluate each pair they select with ``pairwise_outcome``.
+
+#: Pair cells per block of the pair triangle.
+_PAIR_BLOCK = 1 << 16
 
 
 def _wtp_rows(keep):
     return np.array([[w[ALPHA] for _, w in keep], [w[BETA] for _, w in keep]])
 
 
-def _pair_rows(keep, info, payoffs, cost, strict):
-    # Yields (a, low, high): the index of the low prior, and the values of
-    # that prior and of all priors after it, priors along the last axis:
-    # prior, willingness (alpha, beta), the realized belief and acquisition at
-    # each signal of ALL_SIGNALS, and the interim and full belief at
-    # (alpha, beta), then the full and interim belief at (beta, alpha).  The
-    # low prior's values are numpy scalars, which compare faster than rows.
+def _triangle_blocks(n):
+    # (rows, cols) slices covering the pairs i < j of n priors in row-major
+    # order, at most _PAIR_BLOCK cells each: whole rows while they fit,
+    # otherwise one row cut into runs of columns.
+    a = 0
+    while a < n - 1:
+        width = n - 1 - a
+        if width > _PAIR_BLOCK:
+            for b in range(a + 1, n, _PAIR_BLOCK):
+                yield slice(a, a + 1), slice(b, min(b + _PAIR_BLOCK, n))
+            a += 1
+        else:
+            stop = min(a + _PAIR_BLOCK // width, n - 1)
+            yield slice(a, stop), slice(a + 1, n)
+            a = stop
+
+
+def _pair_blocks(keep, info, payoffs, cost, strict):
+    # Yields (a, b, in_triangle, low, high) per block: the index of its first
+    # low prior and of its first high prior, the mask of its pairs (j > i), and
+    # the values of its low priors (along axis -2) and high priors (along
+    # axis -1): prior, willingness (alpha, beta), the realized belief and
+    # acquisition at each signal of ALL_SIGNALS, and the crossing posteriors.
     p = np.array([prior for prior, _ in keep])
     steps = np.diff(p)
     backward = np.flatnonzero(steps <= 0.0 if strict else steps < 0.0)
@@ -422,56 +444,44 @@ def _pair_rows(keep, info, payoffs, cost, strict):
         raise OrderingError(
             f"pairwise checks need priors in increasing order, got {p[k]} before {p[k + 1]}"
         )
-    wtp = _wtp_rows(keep)
-    realized = [
-        [realized_posterior(prior, info, payoffs, cost, signal) for signal in ALL_SIGNALS]
-        for prior, _ in keep
-    ]
-    belief = np.array([[post for post, _ in row] for row in realized]).T
-    acquires = np.array([[a is AcquisitionAction.ACQUIRE for _, a in row] for row in realized]).T
-    crossing = np.array(
-        [
-            [
-                posterior_after_first(prior, info, ALPHA),
-                posterior_after_both(prior, info, ALPHA, BETA),
-                posterior_after_both(prior, info, BETA, ALPHA),
-                posterior_after_first(prior, info, BETA),
-            ]
-            for prior, _ in keep
-        ]
-    ).T
-    arrays = (p, wtp, belief, acquires, crossing)
-    for a in range(len(p) - 1):
-        yield a, [x[..., a] for x in arrays], [x[..., a + 1 :] for x in arrays]
+    arrays = (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost))
+    index = np.arange(len(p))
+    for rows, cols in _triangle_blocks(len(p)):
+        in_triangle = index[rows, None] < index[None, cols]
+        low = [x[..., rows, None] for x in arrays]
+        high = [x[..., None, cols] for x in arrays]
+        yield rows.start, cols.start, in_triangle, low, high
 
 
 def _polarization(keep, info, payoffs, cost):
     more_informative = info.theta2 > info.theta1
-    rows = _pair_rows(keep, info, payoffs, cost, strict=True)
-    for a, (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) in rows:
-        polarized = polarization_verdict(p_i, p_j, post_i[:, None], post_j)[2].any(axis=0)
+    blocks = _pair_blocks(keep, info, payoffs, cost, strict=True)
+    for a, b, in_triangle, low, high in blocks:
+        (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) = low, high
+        polarized = polarization_verdict(p_i, p_j, post_i, post_j)[2].any(axis=0)
         one_sided = b_memberships(wtp_i, wtp_j, cost)
         crossing = (cross_i[0], cross_j[1], cross_i[2], cross_j[3])
         routes = polarization_routes(more_informative, p_i, p_j, one_sided, crossing)
         feasible = routes[0] | routes[1] | routes[2] | routes[3]
-        for k in np.flatnonzero(feasible != polarized):
-            yield (("p_i", keep[a][0]), ("p_j", keep[a + 1 + k][0])), (
-                f"feasible={bool(feasible[k])} but realized={bool(polarized[k])}"
+        for i, j in zip(*np.nonzero(in_triangle & (feasible != polarized))):
+            yield (("p_i", keep[a + i][0]), ("p_j", keep[b + j][0])), (
+                f"feasible={bool(feasible[i, j])} but realized={bool(polarized[i, j])}"
             )
 
 
 def _one_sided_updating(keep, info, payoffs, cost):
-    rows = _pair_rows(keep, info, payoffs, cost, strict=False)
-    for a, (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) in rows:
-        inversion = polarization_verdict(p_i, p_j, post_i[:, None], post_j)[1]
-        opposite = (acq_i[:, None] == acq_j) & (inversion < 0.0)
-        # Transposed to (pair, signal): pairs in order, signals in ALL_SIGNALS order.
-        for k, s in zip(*np.nonzero(opposite.T)):
+    blocks = _pair_blocks(keep, info, payoffs, cost, strict=False)
+    for a, b, in_triangle, low, high in blocks:
+        (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) = low, high
+        inversion = polarization_verdict(p_i, p_j, post_i, post_j)[1]
+        opposite = in_triangle & (acq_i == acq_j) & (inversion < 0.0)
+        # Signals moved last: pairs in order, signals in ALL_SIGNALS order.
+        for i, j, s in zip(*np.nonzero(opposite.transpose(1, 2, 0))):
             yield (
-                ("p_i", keep[a][0]),
-                ("p_j", keep[a + 1 + k][0]),
+                ("p_i", keep[a + i][0]),
+                ("p_j", keep[b + j][0]),
                 ("signal", ALL_SIGNALS[s].label()),
-            ), f"same action but inversion={float(inversion[s, k])}"
+            ), f"same action but inversion={float(inversion[s, i, j])}"
 
 
 def _mirrored(keep, info, payoffs, cost):

@@ -23,10 +23,10 @@ from :mod:`secondlook.sets` as inputs.  The pair outcome and the four
 feasibility routes are each stated once, in :func:`polarization_verdict` and
 :func:`polarization_routes`, with operators that work on floats and numpy
 rows alike: the scalar API feeds them one validated pair, the grid checks of
-:mod:`secondlook.oracle` whole rows.  The probability formula reads the
-product :func:`secondlook.model.signal_law` at a caller-supplied subjective
-prior; that prior is deliberately never defaulted, because nothing in the
-model pins it down.
+:mod:`secondlook.oracle` blocks of pairs built from :func:`realized_rows`.
+The probability formula reads the product :func:`secondlook.model.signal_law`
+at a caller-supplied subjective prior; that prior is deliberately never
+defaulted, because nothing in the model pins it down.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .errors import IndifferentPriorError, OrderingError
 from .incentives import AcquisitionAction, willingness_to_pay
 from .model import (
+    ALL_SIGNALS,
     ALPHA,
     BETA,
     InformationStructure,
@@ -46,6 +47,7 @@ from .model import (
     posterior_after_both,
     posterior_after_first,
     signal_law,
+    _posterior,
 )
 from .sets import b_memberships, v_memberships
 
@@ -70,6 +72,35 @@ def realized_posterior(
             AcquisitionAction.ACQUIRE,
         )
     return posterior_after_first(p, info, signal.first), AcquisitionAction.SKIP
+
+
+def realized_rows(p, info: InformationStructure, payoffs: PayoffStructure, cost: float):
+    """:func:`realized_posterior` and the crossing posteriors of a numpy row of priors.
+
+    Returns ``(belief, acquires, crossing)``, each with one row per entry and
+    priors along the last axis: the realized belief and whether it acquires
+    at each signal of ``ALL_SIGNALS``, and the four posteriors of
+    :func:`polarization_routes`' ``crossing`` (the interim and full belief at
+    (alpha, beta), then the full and interim belief at (beta, alpha)).  Each
+    prior's willingness comes from :func:`willingness_to_pay`, which validates
+    it; the beliefs come from the updating step of the scalar posteriors, so
+    every value equals the scalar API's bit for bit.
+    """
+    import numpy as np  # only the grid checks build rows
+
+    cost = check_cost(cost)
+    priors = p.tolist()
+    acquires_after = {  # ties acquire, as in realized_posterior
+        s1: cost <= np.array([willingness_to_pay(x, info, payoffs, s1) for x in priors])
+        for s1 in (ALPHA, BETA)
+    }
+    interim = {s1: _posterior(p, info, s1) for s1 in (ALPHA, BETA)}
+    full = [_posterior(p, info, s.first, s.second) for s in ALL_SIGNALS]
+    acquires = np.array([acquires_after[s.first] for s in ALL_SIGNALS])
+    belief = np.where(acquires, full, [interim[s.first] for s in ALL_SIGNALS])
+    # ALL_SIGNALS[1] is (alpha, beta) and ALL_SIGNALS[2] is (beta, alpha).
+    crossing = np.array([interim[ALPHA], full[1], full[2], interim[BETA]])
+    return belief, acquires, crossing
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -329,9 +331,13 @@ AGREEMENT_COSTS = [0.0, 0.01, 0.05, 0.1, 0.15, 0.25, 0.3]
     "payoffs", [PayoffStructure(1.0, 0.0), PayoffStructure(2.0, 0.5)], ids=str
 )
 @pytest.mark.parametrize("theta", AGREEMENT_THETAS, ids=str)
-def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
-    # ``==``, not approx: the per-prior rows come from the scalar API and go
-    # through the same pair laws, so rows and scalar calls agree bit for bit.
+def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
+    # ``==``, not approx: the block values come from the oracle's willingness
+    # and from ``realized_rows``, whose beliefs are the scalar posteriors'
+    # updating step on rows, and go through the same pair laws, so blocks and
+    # scalar calls agree bit for bit.  A cap of 12 cells cuts the 31-prior
+    # triangle both mid-row and into blocks of several rows.
+    monkeypatch.setattr(oracle, "_PAIR_BLOCK", 12)
     info = InformationStructure(*theta)
     grid = default_prior_grid(31).tolist()
     keep = [
@@ -339,10 +345,13 @@ def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
         for p in grid
     ]
     for cost in AGREEMENT_COSTS:
-        for a, low, high in oracle._pair_rows(keep, info, payoffs, cost, strict=True):
+        seen = []
+        for a, b, in_triangle, low, high in oracle._pair_blocks(
+            keep, info, payoffs, cost, strict=True
+        ):
             p_i, wtp_i, post_i, acq_i, cross_i = low
             p_j, wtp_j, post_j, acq_j, cross_j = high
-            outcome = polarization_verdict(p_i, p_j, post_i[:, None], post_j)
+            outcome = polarization_verdict(p_i, p_j, post_i, post_j)
             routes = polarization_routes(
                 info.theta2 > info.theta1,
                 p_i,
@@ -351,10 +360,12 @@ def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
                 (cross_i[0], cross_j[1], cross_i[2], cross_j[3]),
             )
             feasible = np.logical_or.reduce(routes)
-            pairs = [(grid[a], p) for p in grid[a + 1 :]]
+            cells = np.nonzero(in_triangle)
+            pairs = [(grid[a + i], grid[b + j]) for i, j in zip(*cells)]
+            seen += pairs
             feasibility = [polarization_feasible(*pair, info, payoffs, cost) for pair in pairs]
-            assert feasible.tolist() == [f.feasible for f in feasibility]
-            assert [route.tolist() for route in routes] == [
+            assert feasible[cells].tolist() == [f.feasible for f in feasibility]
+            assert [route[cells].tolist() for route in routes] == [
                 [f.via_alpha for f in feasibility],
                 [f.via_beta for f in feasibility],
                 [f.via_alpha_swap for f in feasibility],
@@ -364,15 +375,48 @@ def test_pair_arrays_match_scalar_api_exactly(theta, payoffs):
                 scalar = [
                     pairwise_outcome(*pair, info, payoffs, cost, signal) for pair in pairs
                 ]
-                assert [x[s].tolist() for x in outcome] == [
+                assert [x[s][cells].tolist() for x in outcome] == [
                     [o.divergence for o in scalar],
                     [o.inversion for o in scalar],
                     [o.polarized for o in scalar],
                 ]
-                assert [(bool(acq_i[s]), bool(acq)) for acq in acq_j[s]] == [
+                assert [
+                    (bool(acq_i[s, i, 0]), bool(acq_j[s, 0, j])) for i, j in zip(*cells)
+                ] == [
                     tuple(act is AcquisitionAction.ACQUIRE for act in o.acquisitions)
                     for o in scalar
                 ]
+        assert seen == list(itertools.combinations(grid, 2))
+
+
+def _flipped_verdict(*args):
+    divergence, inversion, _ = polarization_verdict(*args)
+    return -divergence, -inversion, (-divergence < 0.0) & (-inversion < 0.0)
+
+
+# (count, SHA-256 of repr) of the lists at grid 61 with the verdict's signs
+# flipped, so that they are long; recorded from the loop that compared one
+# low prior at a time.
+FLIPPED_LISTS = {
+    "polarization": (
+        10293, "ad6ca1072da0616aef8f7672bc9ae4cd49145be778b8e8ac2a75643284cdce45"
+    ),
+    "one_sided_updating": (
+        43532, "48f71586cf448b92e7a8142753859ac72ef4e3762a0dba66ffb2de963f285faf"
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 7], ids=["default-cap", "cap-7"])
+@pytest.mark.parametrize("check", FLIPPED_LISTS)
+def test_pair_blocks_keep_combinations_and_signal_order(monkeypatch, check, cap):
+    # A cap of 7 cells ends blocks mid-row; the order must not move.
+    monkeypatch.setattr(oracle, "polarization_verdict", _flipped_verdict)
+    if cap is not None:
+        monkeypatch.setattr(oracle, "_PAIR_BLOCK", cap)
+    violations = grid_theorem_check(check, priors=default_prior_grid(61))
+    digest = hashlib.sha256(repr(violations).encode()).hexdigest()
+    assert (len(violations), digest) == FLIPPED_LISTS[check]
 
 
 def test_grid_check_unknown_id():

@@ -14,6 +14,7 @@ from secondlook import (
     ParameterError,
     PayoffStructure,
     Signal,
+    case_thresholds,
     classify_pair,
     confirmation_report,
     disconfirmation_report,
@@ -25,12 +26,13 @@ from secondlook import (
     polarization_feasible,
     polarization_probability,
     posterior_after_both,
+    posterior_after_first,
     reaction_report,
     realized_posterior,
     willingness_to_pay,
 )
-from secondlook.model import check_cost
-from secondlook.patterns import polarization_routes, polarization_verdict
+from secondlook.model import _posterior, check_cost
+from secondlook.patterns import polarization_routes, polarization_verdict, realized_rows
 from secondlook.sets import b_memberships
 
 
@@ -524,3 +526,54 @@ def test_polarization_routes_on_rows_equal_their_float_values(more_informative, 
         np.array(crossing).T,
     )
     assert [x.tolist() for x in rows] == [list(col) for col in zip(*on_floats)]
+
+
+_PRECISION = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+_EDGE_PRIORS = [0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0]
+
+
+@given(
+    t1=_PRECISION,
+    t2=_PRECISION,
+    same_precisions=st.booleans(),
+    payoffs=st.sampled_from([PayoffStructure(1.0, 0.0), PayoffStructure(2.0, 0.5)]),
+    priors=st.lists(st.floats(0.0, 1.0), max_size=8),
+    cost=st.floats(0.0, 1.2),
+    tie=st.one_of(st.none(), st.tuples(st.integers(0, 100), st.sampled_from([ALPHA, BETA]))),
+)
+def test_realized_rows_equal_the_scalar_api_bit_for_bit(
+    payoffs, t1, t2, same_precisions, priors, cost, tie
+):
+    # The rows a grid check compares, against the scalar posteriors and
+    # realized_posterior, by float.hex: equal precisions take the
+    # uninformative return, and the edge priors, both components' case
+    # thresholds and a cost tied with a willingness (ties acquire) are included.
+    info = InformationStructure(t1, t1 if same_precisions else t2)
+    priors = priors + _EDGE_PRIORS + [*case_thresholds(info, ALPHA), *case_thresholds(info, BETA)]
+    if tie is not None:
+        k, s1 = tie
+        cost = willingness_to_pay(priors[k % len(priors)], info, payoffs, s1)
+    row = np.array(priors)
+
+    def hexes(values):
+        return [float(x).hex() for x in values]
+
+    for s1 in (ALPHA, BETA):
+        assert hexes(_posterior(row, info, s1)) == hexes(
+            posterior_after_first(p, info, s1) for p in priors
+        )
+    for signal in ALL_SIGNALS:
+        assert hexes(_posterior(row, info, signal.first, signal.second)) == hexes(
+            posterior_after_both(p, info, signal.first, signal.second) for p in priors
+        )
+    belief, acquires, crossing = realized_rows(row, info, payoffs, cost)
+    for s, signal in enumerate(ALL_SIGNALS):
+        scalar = [realized_posterior(p, info, payoffs, cost, signal) for p in priors]
+        assert hexes(belief[s]) == hexes(post for post, _ in scalar)
+        assert acquires[s].tolist() == [act is AcquisitionAction.ACQUIRE for _, act in scalar]
+    assert [hexes(x) for x in crossing] == [
+        hexes(posterior_after_first(p, info, ALPHA) for p in priors),
+        hexes(posterior_after_both(p, info, ALPHA, BETA) for p in priors),
+        hexes(posterior_after_both(p, info, BETA, ALPHA) for p in priors),
+        hexes(posterior_after_first(p, info, BETA) for p in priors),
+    ]
