@@ -77,9 +77,9 @@ def realized_posterior(
 def realized_rows(p, info: InformationStructure, payoffs: PayoffStructure, cost: float):
     """:func:`realized_posterior` and the crossing posteriors of a numpy row of priors.
 
-    Returns ``(belief, acquires, crossing)``, each with one row per entry and
-    priors along the last axis: the realized belief and whether it acquires
-    at each signal of ``ALL_SIGNALS``, and the four posteriors of
+    Returns ``(belief, acquires, crossing)``, each four rows with priors
+    along the last axis: the realized belief and whether it acquires, one row
+    per signal of ``ALL_SIGNALS``, and the four posteriors of
     :func:`polarization_routes`' ``crossing`` (the interim and full belief at
     (alpha, beta), then the full and interim belief at (beta, alpha)).  Each
     prior's willingness comes from :func:`willingness_to_pay`, which validates
