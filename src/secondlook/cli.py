@@ -65,6 +65,7 @@ from .oracle import (
     pattern_probability,
 )
 from .patterns import (
+    PolarizationFeasibility,
     confirmation_report,
     pairwise_outcome,
     polarization_feasible,
@@ -205,33 +206,29 @@ def _case_column(
 
 def cmd_wtp(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
-    columns = ["p", "wtp_alpha", "wtp_beta", "case_alpha", "case_beta"]
     grid = np.linspace(0.0, 1.0, config.grid).tolist()
-    rows = [
-        (
-            p,
-            willingness_to_pay(p, info, payoffs, ALPHA),
-            willingness_to_pay(p, info, payoffs, BETA),
-            case_alpha,
-            case_beta,
-        )
-        for p, case_alpha, case_beta in zip(
-            grid, _case_column(grid, info, ALPHA), _case_column(grid, info, BETA)
-        )
-    ]
-    del grid  # the rows hold the priors; the list itself would only raise the peak
-    _emit(render_table(columns, rows, args.format), args)
+    table = {
+        "p": grid,
+        "wtp_alpha": [willingness_to_pay(p, info, payoffs, ALPHA) for p in grid],
+        "wtp_beta": [willingness_to_pay(p, info, payoffs, BETA) for p in grid],
+        "case_alpha": list(_case_column(grid, info, ALPHA)),
+        "case_beta": list(_case_column(grid, info, BETA)),
+    }
+    _emit(render_table(table, args.format), args)
     return EXIT_OK
 
 
 def cmd_partition(config: RunConfig, args) -> int:
     info = config.info()
-    columns = ["case", "first_component", "lower", "upper"]
-    rows = []
-    for case in range(1, 9):
-        lower, upper = case_interval(case, info)
-        rows.append((case, "alpha" if case <= 4 else "beta", lower, upper))
-    _emit(render_table(columns, rows, args.format), args)
+    cases = range(1, 9)
+    intervals = [case_interval(case, info) for case in cases]
+    table = {
+        "case": list(cases),
+        "first_component": ["alpha" if case <= 4 else "beta" for case in cases],
+        "lower": [lower for lower, _ in intervals],
+        "upper": [upper for _, upper in intervals],
+    }
+    _emit(render_table(table, args.format), args)
     return EXIT_OK
 
 
@@ -244,14 +241,17 @@ def cmd_sets(config: RunConfig, args) -> int:
     alpha, beta = np.array(wtp).T
     highs = [(alpha[i:], beta[i:]) for i in range(len(grid))]
     v_rows = [v_memberships(low, high) for low, high in zip(wtp, highs)]
-    columns = ["p_low", "p_high", "cost"]
-    columns += [f.name.removeprefix("in_") for f in fields(PairClass)]
-    rows = []
+    names = ["p_low", "p_high", "cost"] + [f.name.removeprefix("in_") for f in fields(PairClass)]
+    table = {name: [] for name in names}
     for cost in config.cost_list():
         for i, p_low in enumerate(grid):
             members = b_memberships(wtp[i], highs[i], cost) + v_rows[i]
-            rows.extend(zip(repeat(p_low), grid[i:], repeat(cost), *(m.tolist() for m in members)))
-    _emit(render_table(columns, rows, args.format), args)
+            width = len(grid) - i
+            parts = [repeat(p_low, width), grid[i:], repeat(cost, width)]
+            parts += (m.tolist() for m in members)
+            for column, part in zip(table.values(), parts):
+                column.extend(part)
+    _emit(render_table(table, args.format), args)
     return EXIT_OK
 
 
@@ -369,44 +369,25 @@ def cmd_polarize(config: RunConfig, args) -> int:
     feas = polarization_feasible(p_low, p_high, info, payoffs, cost)
     # Over every route, so it is the probability of the rows marked polarized.
     probability = pattern_probability("PB", subjective, p_low, info, payoffs, cost, p_j=p_high)
-    columns = [
-        "sigma1",
-        "sigma2",
-        "divergence",
-        "inversion",
-        "polarized",
-        "realized_low",
-        "realized_high",
-        "action_low",
-        "action_high",
-        "feasible",
-        "via_alpha",
-        "via_beta",
-        "via_alpha_swap",
-        "via_beta_swap",
-        "probability",
+    outcomes = [
+        pairwise_outcome(p_low, p_high, info, payoffs, cost, signal) for signal in ALL_SIGNALS
     ]
-    rows = []
-    for signal in ALL_SIGNALS:
-        outcome = pairwise_outcome(p_low, p_high, info, payoffs, cost, signal)
-        rows.append(
-            (
-                signal.first.value,
-                signal.second.value,
-                outcome.divergence,
-                outcome.inversion,
-                outcome.polarized,
-                *outcome.realized_posteriors,
-                *(action.value for action in outcome.acquisitions),
-                feas.feasible,
-                feas.via_alpha,
-                feas.via_beta,
-                feas.via_alpha_swap,
-                feas.via_beta_swap,
-                probability,
-            )
-        )
-    _emit(render_table(columns, rows, args.format), args)
+    rows = len(outcomes)
+    table = {
+        "sigma1": [signal.first.value for signal in ALL_SIGNALS],
+        "sigma2": [signal.second.value for signal in ALL_SIGNALS],
+        "divergence": [outcome.divergence for outcome in outcomes],
+        "inversion": [outcome.inversion for outcome in outcomes],
+        "polarized": [outcome.polarized for outcome in outcomes],
+        "realized_low": [outcome.realized_posteriors[0] for outcome in outcomes],
+        "realized_high": [outcome.realized_posteriors[1] for outcome in outcomes],
+        "action_low": [outcome.acquisitions[0].value for outcome in outcomes],
+        "action_high": [outcome.acquisitions[1].value for outcome in outcomes],
+    }
+    for field in fields(PolarizationFeasibility):
+        table[field.name] = [getattr(feas, field.name)] * rows
+    table["probability"] = [probability] * rows
+    _emit(render_table(table, args.format), args)
     return EXIT_OK
 
 
@@ -429,29 +410,17 @@ def cmd_simulate(config: RunConfig, args) -> int:
     pattern = args.pattern
     subjective = _subjective_prior(config, "simulate")
     estimate, analytic = _simulated_pattern(config, pattern, subjective, args.draws)
-    columns = [
-        "pattern",
-        "draws",
-        "seed",
-        "frequency",
-        "standard_error",
-        "analytic",
-        "abs_error",
-        "within_3se",
-    ]
-    rows = [
-        (
-            pattern,
-            estimate.draws,
-            estimate.seed,
-            estimate.frequency,
-            estimate.standard_error,
-            analytic,
-            abs(estimate.frequency - analytic),
-            estimate.within(analytic),
-        )
-    ]
-    _emit(render_table(columns, rows, args.format), args)
+    table = {
+        "pattern": [pattern],
+        "draws": [estimate.draws],
+        "seed": [estimate.seed],
+        "frequency": [estimate.frequency],
+        "standard_error": [estimate.standard_error],
+        "analytic": [analytic],
+        "abs_error": [abs(estimate.frequency - analytic)],
+        "within_3se": [estimate.within(analytic)],
+    }
+    _emit(render_table(table, args.format), args)
     return EXIT_OK
 
 

@@ -5,6 +5,9 @@ per line, ``#`` comments, lists comma-separated, read by :func:`parse_setting`
 for a file line and a command-line flag alike.  Unknown keys are rejected; a
 parse error names the file and line, a validation error the file.
 
+A table is a ``dict`` from each column name, in column order, to its list of
+cells, one per row.
+
 Tables are emitted as CSV with a header row or as a JSON array of flat
 records.  Floats are printed with 12 significant digits in both formats so
 the two decode to identical records.  CSV is rendered by column, in chunks of
@@ -172,7 +175,7 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _csv_texts(column: tuple) -> Iterator[str]:
+def _csv_texts(column: list) -> Iterator[str]:
     """``map(_format_value, column)``, at C speed for a column of one exact type."""
     kinds = set(map(type, column))
     if kinds == {bool}:
@@ -189,12 +192,13 @@ def _csv_texts(column: tuple) -> Iterator[str]:
     return map(_format_value, column)
 
 
-def render_csv(columns: list[str], rows: list[tuple]) -> str:
+def render_csv(table: dict[str, list]) -> str:
     # By column, in chunks of rows, so that the cell texts of one chunk at a
     # time are live.
-    out = [",".join(columns) + "\n"]
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        texts = map(_csv_texts, zip(*rows[start : start + _CHUNK_ROWS]))
+    out = [",".join(table) + "\n"]
+    columns = list(table.values())
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        texts = [_csv_texts(column[start : start + _CHUNK_ROWS]) for column in columns]
         out.append("\n".join(map(",".join, zip(*texts))) + "\n")
     return "".join(out)
 
@@ -215,22 +219,27 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def render_json(columns: list[str], rows: list[tuple]) -> str:
-    if not rows:
+def render_json(table: dict[str, list]) -> str:
+    columns = list(table.values())
+    if not columns[0]:
         return "[]\n"
     # One %-template per record: json.dumps with an indent runs CPython's
     # pure-Python encoder, several times slower on large tables.  The cells
     # stay lazy maps, so each cell string is freed once its record is built.
-    lines = ",\n".join("    " + json.dumps(c).replace("%", "%%") + ": %s" for c in columns)
+    lines = ",\n".join("    " + json.dumps(c).replace("%", "%%") + ": %s" for c in table)
     template = "  {\n" + lines + "\n  }"
-    cells = [map(_json_cell, column) for column in zip(*rows)]
+    cells = [map(_json_cell, column) for column in columns]
     return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
 
 
-def render_table(columns: list[str], rows: list[tuple], fmt: str) -> str:
-    """Render rows, each a sequence of cells in column order, as CSV or JSON."""
+def render_table(table: dict[str, list], fmt: str) -> str:
+    """Render a table as CSV or JSON.
+
+    A table maps each column name, in column order, to its list of cells, one
+    per row; every column has the same length.
+    """
     if fmt == "csv":
-        return render_csv(columns, rows)
+        return render_csv(table)
     if fmt == "json":
-        return render_json(columns, rows)
+        return render_json(table)
     raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'json'")

@@ -430,20 +430,13 @@ def _triangle_blocks(n):
             a = stop
 
 
-def _pair_blocks(keep, info, payoffs, cost, strict):
+def _pair_blocks(keep, info, payoffs, cost):
     # Yields (a, b, in_triangle, low, high) per block: the index of its first
     # low prior and of its first high prior, the mask of its pairs (j > i), and
     # the values of its low priors (along axis -2) and high priors (along
     # axis -1): prior, willingness (alpha, beta), the realized belief and
     # acquisition at each signal of ALL_SIGNALS, and the crossing posteriors.
     p = np.array([prior for prior, _ in keep])
-    steps = np.diff(p)
-    backward = np.flatnonzero(steps <= 0.0 if strict else steps < 0.0)
-    if backward.size:
-        k = backward[0]
-        raise OrderingError(
-            f"pairwise checks need priors in increasing order, got {p[k]} before {p[k + 1]}"
-        )
     arrays = (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost))
     index = np.arange(len(p))
     for rows, cols in _triangle_blocks(len(p)):
@@ -455,7 +448,7 @@ def _pair_blocks(keep, info, payoffs, cost, strict):
 
 def _polarization(keep, info, payoffs, cost):
     more_informative = info.theta2 > info.theta1
-    blocks = _pair_blocks(keep, info, payoffs, cost, strict=True)
+    blocks = _pair_blocks(keep, info, payoffs, cost)
     for a, b, in_triangle, low, high in blocks:
         (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) = low, high
         polarized = polarization_verdict(p_i, p_j, post_i, post_j)[2].any(axis=0)
@@ -470,7 +463,7 @@ def _polarization(keep, info, payoffs, cost):
 
 
 def _one_sided_updating(keep, info, payoffs, cost):
-    blocks = _pair_blocks(keep, info, payoffs, cost, strict=False)
+    blocks = _pair_blocks(keep, info, payoffs, cost)
     for a, b, in_triangle, low, high in blocks:
         (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) = low, high
         inversion = polarization_verdict(p_i, p_j, post_i, post_j)[1]
@@ -584,6 +577,12 @@ _CLAIMS = {
 }
 
 
+#: The claims about pairs of priors, which need the priors in increasing order.
+_PAIRWISE_CHECKS = (
+    "polarization", "one_sided_updating", "ordered_gap_contraction", "mirrored_no_divergence"
+)
+
+
 def grid_theorem_check(
     check: str,
     priors=None,
@@ -625,8 +624,9 @@ def grid_theorem_check(
 
     Returns an empty list when the claim holds everywhere on the grid.  An
     invalid prior raises :class:`InvalidProbabilityError` and an invalid cost
-    :class:`ParameterError`, both on entry; the pairwise claims raise
-    :class:`OrderingError` for priors out of increasing order.
+    :class:`ParameterError`, both on entry; the four pairwise claims raise
+    :class:`OrderingError` on entry for priors out of increasing order, and
+    ``polarization`` also for a repeated prior.
     """
     if check not in ALL_CHECKS + EXTRA_CHECKS:
         raise ParameterError(
@@ -638,6 +638,16 @@ def grid_theorem_check(
     # Validated once, here; the claims then see plain floats.
     priors = [check_probability(p, "prior") for p in priors]
     costs = [check_cost(c) for c in costs]
+    if check in _PAIRWISE_CHECKS:
+        # polarization_feasible needs p_i < p_j; pairwise_outcome p_i <= p_j.
+        steps = np.diff(priors)
+        backward = np.flatnonzero(steps <= 0.0 if check == "polarization" else steps < 0.0)
+        if backward.size:
+            k = backward[0]
+            raise OrderingError(
+                f"pairwise checks need priors in increasing order, "
+                f"got {priors[k]} before {priors[k + 1]}"
+            )
     if payoffs is None:
         payoffs = PayoffStructure(1.0, 0.0)
     violations: list[Violation] = []

@@ -50,6 +50,21 @@ STDOUT_SHA256 = {
     ("wtp", "--grid", "101", "--format", "json"): (
         "a63800661d47b4f6021314ca89dbee34f161c091e51ebc4d24b4f5bae7ac0815"
     ),
+    ("partition", "--format", "json"): (
+        "20ed7ae57e9f79276a69e7f55c6b79ccca677224ed9a5527a37ee99984328486"
+    ),
+    ("polarize", "--format", "json"): (
+        "c48e37964b505bcf27599ef2b0cb3cb46737c6635210c0327de9be8305b25b37"
+    ),
+    ("simulate", "--draws", "1000"): (
+        "7ec9f796ba8fc6b1595469bfbd3e15eff563acd9d5bbb555ae24d08a31215714"
+    ),
+    ("simulate", "--draws", "1000", "--format", "json"): (
+        "a0194114779db6d31152d973c795adbb4c77b68fc03c3e830fd0b001d8f30be3"
+    ),
+    ("sets", "--grid", "9", "--costs", "0.05,0.1,0.2", "--format", "json"): (
+        "14ea9b7b472114308118b4b56ddb13f249efa94633c932827d5890b03af49c0a"
+    ),
     # 60,903 rows: 15 chunks of the CSV render.
     ("sets", "--grid", "201", "--costs", "0.05,0.1,0.2"): (
         "6b028b0c1ca3724e8e9e04000409d9207a7321243cd088313ad14c405b4dde59"
@@ -191,7 +206,8 @@ def test_sets_matches_per_pair_classification(capsys, theta, payoff, fmt):
         for i, p_low in enumerate(grid)
         for p_high in grid[i:]
     ]
-    assert out == render_table(columns, rows, fmt)
+    table = {column: [row[k] for row in rows] for k, column in enumerate(columns)}
+    assert out == render_table(table, fmt)
 
 
 def test_example_reference_run(capsys):

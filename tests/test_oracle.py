@@ -306,19 +306,27 @@ def test_grid_checks_take_a_float_list_like_the_grid(check):
     assert [str(v) for v in from_list] == [str(v) for v in from_grid]
 
 
-@pytest.mark.parametrize("check", ["polarization", "one_sided_updating"])
+PAIRWISE_CHECKS = [
+    "polarization", "one_sided_updating", "ordered_gap_contraction", "mirrored_no_divergence"
+]
+
+
+@pytest.mark.parametrize("check", PAIRWISE_CHECKS)
 def test_array_claims_reject_what_the_scalar_api_rejects(check):
     with pytest.raises(ParameterError):
         grid_theorem_check(check, priors=SMALL_GRID, costs=[float("nan")])
-    with pytest.raises(OrderingError):
-        grid_theorem_check(check, priors=[0.2, 0.7, 0.4])
+    # On entry, whichever pairs a check goes on to select.
+    for priors in ([0.9, 0.1], [0.2, 0.7, 0.4]):
+        with pytest.raises(OrderingError):
+            grid_theorem_check(check, priors=priors)
 
 
 def test_only_polarization_rejects_repeated_priors():
     # as polarization_feasible needs p_i < p_j and pairwise_outcome p_i <= p_j
     with pytest.raises(OrderingError):
         grid_theorem_check("polarization", priors=[0.2, 0.2, 0.7])
-    assert grid_theorem_check("one_sided_updating", priors=[0.2, 0.2, 0.7]) == []
+    for check in PAIRWISE_CHECKS[1:]:
+        assert grid_theorem_check(check, priors=[0.2, 0.2, 0.7]) == []
 
 
 AGREEMENT_THETAS = [
@@ -346,9 +354,7 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
     ]
     for cost in AGREEMENT_COSTS:
         seen = []
-        for a, b, in_triangle, low, high in oracle._pair_blocks(
-            keep, info, payoffs, cost, strict=True
-        ):
+        for a, b, in_triangle, low, high in oracle._pair_blocks(keep, info, payoffs, cost):
             p_i, wtp_i, post_i, acq_i, cross_i = low
             p_j, wtp_j, post_j, acq_j, cross_j = high
             outcome = polarization_verdict(p_i, p_j, post_i, post_j)
