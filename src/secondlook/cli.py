@@ -176,8 +176,11 @@ def _effective_config(args) -> RunConfig:
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}", source=args.out) from exc
     else:
         sys.stdout.write(text)
 

@@ -72,8 +72,12 @@ def _thresholds(t1: float, t2: float, after_alpha: bool) -> tuple[float, float, 
     same = 1.0 - t1 - t2 + 2.0 * t1 * t2  # P(components agree | either state)
     diff = t1 + t2 - 2.0 * t1 * t2  # P(components disagree | either state)
     if after_alpha:
-        return ((1.0 - t1) * (1.0 - t2) / same, 1.0 - t1, t2 * (1.0 - t1) / diff)
-    return (t1 * (1.0 - t2) / diff, t1, t1 * t2 / same)
+        lo, mid, hi = (1.0 - t1) * (1.0 - t2) / same, 1.0 - t1, t2 * (1.0 - t1) / diff
+    else:
+        lo, mid, hi = t1 * (1.0 - t2) / diff, t1, t1 * t2 / same
+    # With a precision a few ulps below 1, round-off can put an end past the
+    # middle or past 1; clamped, as in inversion_thresholds.  Else a no-op.
+    return min(lo, mid), mid, min(max(hi, mid), 1.0)
 
 
 def case_interval(case: int, info: InformationStructure) -> tuple[float, float]:

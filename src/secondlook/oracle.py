@@ -393,17 +393,16 @@ def _wtp_by_first(
 # violation; ``grid_theorem_check`` prefixes theta1, theta2 and cost to the
 # params.
 #
-# ``polarization`` and ``one_sided_updating`` build each prior's values once
-# per slice, as rows: the characterization side from the oracle's own
-# willingness, the definition side from ``realized_rows``, which reads
-# willingness through ``patterns``.  They then compare the priors in 2-D
-# blocks of the pair triangle, each a run of low priors by the priors after
-# them, masked to ``j > i`` and at most ``_PAIR_BLOCK`` cells, so memory is
-# O(block) whatever the grid.  ``np.nonzero`` reads a block in row-major
-# order, so violations come in ``combinations`` order, and in (pair, signal)
-# order.  The blocks go through the pair laws the scalar API applies to one
-# pair (``b_memberships``, ``polarization_verdict``, ``polarization_routes``).
-# The mirrored checks evaluate each pair they select with ``pairwise_outcome``.
+# The four pairwise claims walk the pair triangle one way, ``_pair_blocks``:
+# per-prior rows, built once per slice, compared in 2-D blocks of whole rows
+# (low priors by all later priors, masked to ``j > i``) of at most
+# ``_PAIR_BLOCK`` cells, or one row when a row alone is wider, so memory is
+# O(block).  ``np.nonzero`` reads a block in row-major order, so violations
+# come in ``combinations`` order, then in signal order.  ``polarization`` and
+# ``one_sided_updating`` compare ``_slice_rows`` through the pair laws the
+# scalar API applies to one pair (``b_memberships``, ``polarization_verdict``,
+# ``polarization_routes``).  The mirrored claims select their pairs on blocks
+# of willingness and evaluate each with ``pairwise_outcome``.
 
 #: Pair cells per block of the pair triangle.
 _PAIR_BLOCK = 1 << 16
@@ -413,33 +412,30 @@ def _wtp_rows(keep):
     return np.array([[w[ALPHA] for _, w in keep], [w[BETA] for _, w in keep]])
 
 
+def _slice_rows(keep, info, payoffs, cost):
+    # Per kept prior: prior and the oracle's own willingness (alpha, beta) for
+    # the characterization; from ``realized_rows``, the realized belief and
+    # acquisition at each signal of ALL_SIGNALS and the crossing posteriors.
+    p = np.array([prior for prior, _ in keep])
+    return (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost))
+
+
 def _triangle_blocks(n):
     # (rows, cols) slices covering the pairs i < j of n priors in row-major
-    # order, at most _PAIR_BLOCK cells each: whole rows while they fit,
-    # otherwise one row cut into runs of columns.
+    # order: runs of whole rows of at most _PAIR_BLOCK cells, or one row.
     a = 0
     while a < n - 1:
-        width = n - 1 - a
-        if width > _PAIR_BLOCK:
-            for b in range(a + 1, n, _PAIR_BLOCK):
-                yield slice(a, a + 1), slice(b, min(b + _PAIR_BLOCK, n))
-            a += 1
-        else:
-            stop = min(a + _PAIR_BLOCK // width, n - 1)
-            yield slice(a, stop), slice(a + 1, n)
-            a = stop
+        stop = min(a + max(_PAIR_BLOCK // (n - 1 - a), 1), n - 1)
+        yield slice(a, stop), slice(a + 1, n)
+        a = stop
 
 
-def _pair_blocks(keep, info, payoffs, cost):
+def _pair_blocks(arrays):
     # Yields (a, b, in_triangle, low, high) per block: the index of its first
-    # low prior and of its first high prior, the mask of its pairs (j > i), and
-    # the values of its low priors (along axis -2) and high priors (along
-    # axis -1): prior, willingness (alpha, beta), the realized belief and
-    # acquisition at each signal of ALL_SIGNALS, and the crossing posteriors.
-    p = np.array([prior for prior, _ in keep])
-    arrays = (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost))
-    index = np.arange(len(p))
-    for rows, cols in _triangle_blocks(len(p)):
+    # low and first high prior, the mask of its pairs (j > i), and each array
+    # (priors on its last axis) at its low priors (axis -2) and high (axis -1).
+    index = np.arange(arrays[0].shape[-1])
+    for rows, cols in _triangle_blocks(len(index)):
         in_triangle = index[rows, None] < index[None, cols]
         low = [x[..., rows, None] for x in arrays]
         high = [x[..., None, cols] for x in arrays]
@@ -448,7 +444,7 @@ def _pair_blocks(keep, info, payoffs, cost):
 
 def _polarization(keep, info, payoffs, cost):
     more_informative = info.theta2 > info.theta1
-    blocks = _pair_blocks(keep, info, payoffs, cost)
+    blocks = _pair_blocks(_slice_rows(keep, info, payoffs, cost))
     for a, b, in_triangle, low, high in blocks:
         (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) = low, high
         polarized = polarization_verdict(p_i, p_j, post_i, post_j)[2].any(axis=0)
@@ -463,7 +459,7 @@ def _polarization(keep, info, payoffs, cost):
 
 
 def _one_sided_updating(keep, info, payoffs, cost):
-    blocks = _pair_blocks(keep, info, payoffs, cost)
+    blocks = _pair_blocks(_slice_rows(keep, info, payoffs, cost))
     for a, b, in_triangle, low, high in blocks:
         (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) = low, high
         inversion = polarization_verdict(p_i, p_j, post_i, post_j)[1]
@@ -480,14 +476,16 @@ def _one_sided_updating(keep, info, payoffs, cost):
 def _mirrored(keep, info, payoffs, cost):
     # Pairs where the high prior alone acquires after alpha, or the low one
     # after beta, in ``combinations`` order, with the signal where it shows.
-    wtp = _wtp_rows(keep)
-    for a, (p_i, w) in enumerate(keep[:-1]):
-        _, _, high_alpha, low_beta = b_memberships((w[ALPHA], w[BETA]), wtp[:, a + 1 :], cost)
-        for k in np.flatnonzero(high_alpha | low_beta):
-            p_j = keep[a + 1 + k][0]
-            if high_alpha[k]:
+    for a, b, in_triangle, (wtp_i,), (wtp_j,) in _pair_blocks((_wtp_rows(keep),)):
+        _, _, high_alpha, low_beta = b_memberships(wtp_i, wtp_j, cost)
+        cells = np.nonzero(in_triangle & (high_alpha | low_beta))
+        # Lists, read once per block: indexing numpy scalars per pair is slower.
+        selected = (*cells, high_alpha[cells], low_beta[cells])
+        for i, j, alpha, beta in zip(*(x.tolist() for x in selected)):
+            p_i, p_j = keep[a + i][0], keep[b + j][0]
+            if alpha:
                 yield p_i, p_j, Signal(ALPHA, BETA)
-            if low_beta[k]:
+            if beta:
                 yield p_i, p_j, Signal(BETA, ALPHA)
 
 

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secondlook import (
@@ -58,6 +58,18 @@ STDOUT_SHA256 = {
     ),
     ("simulate", "--draws", "1000"): (
         "7ec9f796ba8fc6b1595469bfbd3e15eff563acd9d5bbb555ae24d08a31215714"
+    ),
+    ("simulate", "--pattern", "CB", "--draws", "1000"): (
+        "c188b88e5e879f8ce7798f08e67323a7af590b276ea541eff5c1976d12157489"
+    ),
+    ("simulate", "--pattern", "DB", "--draws", "1000"): (
+        "8476ed4c33a425c495df2f36f208ad46ba76e492b6d7fedfe670993634524e0f"
+    ),
+    ("simulate", "--pattern", "UR", "--draws", "1000"): (
+        "57c518c8644447dafc21479d53f0f66dd23576844e72e727f3490544f11f37d2"
+    ),
+    ("simulate", "--pattern", "OR", "--draws", "1000"): (
+        "8eebbebfc5347367a2ec7e850e1dc522134f97277d8fc0a4244685aefaac75b0"
     ),
     ("simulate", "--draws", "1000", "--format", "json"): (
         "a0194114779db6d31152d973c795adbb4c77b68fc03c3e830fd0b001d8f30be3"
@@ -110,6 +122,8 @@ _precisions = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 
 @settings(deadline=None)
 @given(t1=_precisions, t2=_precisions, n=st.integers(2, 5000), ties=st.booleans())
+# theta1 one ulp below 1: unclamped, round-off put a threshold at 1 + 2 ulps.
+@example(t1=0.9999999999999998, t2=0.708720987951346, n=2, ties=True)
 def test_wtp_case_runs_match_the_per_prior_rule(t1, t2, n, ties):
     info = InformationStructure(t1, t2)
     grid = np.linspace(0.0, 1.0, n).tolist()
@@ -414,6 +428,16 @@ def test_config_file_and_output_file(tmp_path, capsys):
     assert len(rows) == 7
     peak_row = rows[3]  # p = 0.5 > 1 - theta1 = 0.45, case 2
     assert peak_row["case_alpha"] == "2"
+
+
+@pytest.mark.parametrize("target", ["missing/table.csv", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_exits_one_without_traceback(tmp_path, capsys, target):
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, "partition", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {out_path}: cannot write output: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from secondlook import (
@@ -194,6 +194,26 @@ def test_cached_thresholds_are_the_arithmetic_bit_for_bit(t1, t2):
         fresh = incentives._thresholds.__wrapped__(t1, t2, s1 is ALPHA)
         assert [x.hex() for x in cached] == [x.hex() for x in fresh]
         assert case_thresholds(info, s1) is cached
+
+
+# A precision 1 to 64 ulps below 1, where round-off in the threshold
+# arithmetic is largest relative to the gaps between the thresholds.
+_near_one = st.integers(1, 64).map(lambda k: 1.0 - k * 2.0**-53)
+
+
+@given(near=_near_one, other=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       near_first=st.booleans())
+# Unclamped: (1 + 2 ulps, 1 - 2 ulps, 1 - 1 ulp) after beta, and an upper
+# end of 1 + 2 ulps after alpha.
+@example(near=0.9999999999999998, other=0.708720987951346, near_first=True)
+@example(near=0.9999999999999998, other=0.7051036559585165, near_first=False)
+def test_thresholds_stay_ordered_in_the_unit_interval_near_precision_one(
+    near, other, near_first
+):
+    info = InformationStructure(*((near, other) if near_first else (other, near)))
+    for s1 in (ALPHA, BETA):
+        lo, mid, hi = case_thresholds(info, s1)
+        assert 0.0 <= lo <= mid <= hi <= 1.0
 
 
 def test_cached_thresholds_still_check_the_component(info, payoffs):

@@ -18,8 +18,10 @@ from secondlook import (
     OrderingError,
     ParameterError,
     PayoffStructure,
+    Signal,
     UnknownPatternError,
     brute_force_voi,
+    classify_pair,
     default_prior_grid,
     grid_theorem_check,
     marginal_first,
@@ -343,8 +345,8 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
     # ``==``, not approx: the block values come from the oracle's willingness
     # and from ``realized_rows``, whose beliefs are the scalar posteriors'
     # updating step on rows, and go through the same pair laws, so blocks and
-    # scalar calls agree bit for bit.  A cap of 12 cells cuts the 31-prior
-    # triangle both mid-row and into blocks of several rows.
+    # scalar calls agree bit for bit.  A cap of 12 cells splits the 31-prior
+    # triangle into single rows wider than the cap and runs of several rows.
     monkeypatch.setattr(oracle, "_PAIR_BLOCK", 12)
     info = InformationStructure(*theta)
     grid = default_prior_grid(31).tolist()
@@ -353,22 +355,34 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
         for p in grid
     ]
     for cost in AGREEMENT_COSTS:
-        seen = []
-        for a, b, in_triangle, low, high in oracle._pair_blocks(keep, info, payoffs, cost):
+        seen, mirrored = [], []
+        rows = oracle._slice_rows(keep, info, payoffs, cost)
+        for a, b, in_triangle, low, high in oracle._pair_blocks(rows):
             p_i, wtp_i, post_i, acq_i, cross_i = low
             p_j, wtp_j, post_j, acq_j, cross_j = high
             outcome = polarization_verdict(p_i, p_j, post_i, post_j)
+            one_sided = b_memberships(wtp_i, wtp_j, cost)
             routes = polarization_routes(
                 info.theta2 > info.theta1,
                 p_i,
                 p_j,
-                b_memberships(wtp_i, wtp_j, cost),
+                one_sided,
                 (cross_i[0], cross_j[1], cross_i[2], cross_j[3]),
             )
             feasible = np.logical_or.reduce(routes)
             cells = np.nonzero(in_triangle)
             pairs = [(grid[a + i], grid[b + j]) for i, j in zip(*cells)]
             seen += pairs
+            # The mirrored checks' selection: B after alpha for the high prior,
+            # B after beta for the low one.
+            classes = [classify_pair(*pair, cost, info, payoffs) for pair in pairs]
+            assert [one_sided[2][cells].tolist(), one_sided[3][cells].tolist()] == [
+                [k.in_b_high_alpha for k in classes],
+                [k.in_b_low_beta for k in classes],
+            ]
+            for pair, k in zip(pairs, classes):
+                mirrored += [(*pair, Signal(ALPHA, BETA))] * k.in_b_high_alpha
+                mirrored += [(*pair, Signal(BETA, ALPHA))] * k.in_b_low_beta
             feasibility = [polarization_feasible(*pair, info, payoffs, cost) for pair in pairs]
             assert feasible[cells].tolist() == [f.feasible for f in feasibility]
             assert [route[cells].tolist() for route in routes] == [
@@ -393,6 +407,7 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
                     for o in scalar
                 ]
         assert seen == list(itertools.combinations(grid, 2))
+        assert list(oracle._mirrored(keep, info, payoffs, cost)) == mirrored
 
 
 def _flipped_verdict(*args):
@@ -401,8 +416,9 @@ def _flipped_verdict(*args):
 
 
 # (count, SHA-256 of repr) of the lists at grid 61 with the verdict's signs
-# flipped, so that they are long; recorded from the loop that compared one
-# low prior at a time.
+# flipped, so that they are long; recorded from the loops that compared one
+# low prior at a time.  ``mirrored_no_divergence`` reads no verdict, so its
+# list is the unflipped one.
 FLIPPED_LISTS = {
     "polarization": (
         10293, "ad6ca1072da0616aef8f7672bc9ae4cd49145be778b8e8ac2a75643284cdce45"
@@ -410,19 +426,49 @@ FLIPPED_LISTS = {
     "one_sided_updating": (
         43532, "48f71586cf448b92e7a8142753859ac72ef4e3762a0dba66ffb2de963f285faf"
     ),
+    "mirrored_no_divergence": (
+        364, "266eb1555c9e6c9c6ba790194184a0e92a1895a4e5d1257d259fa77e68625afd"
+    ),
 }
 
 
 @pytest.mark.parametrize("cap", [None, 7], ids=["default-cap", "cap-7"])
 @pytest.mark.parametrize("check", FLIPPED_LISTS)
 def test_pair_blocks_keep_combinations_and_signal_order(monkeypatch, check, cap):
-    # A cap of 7 cells ends blocks mid-row; the order must not move.
+    # A cap of 7 cells makes single rows wider than the cap and, at the end,
+    # runs of short rows; the default cap one block per slice.  The order
+    # must not move.
     monkeypatch.setattr(oracle, "polarization_verdict", _flipped_verdict)
     if cap is not None:
         monkeypatch.setattr(oracle, "_PAIR_BLOCK", cap)
     violations = grid_theorem_check(check, priors=default_prior_grid(61))
     digest = hashlib.sha256(repr(violations).encode()).hexdigest()
     assert (len(violations), digest) == FLIPPED_LISTS[check]
+
+
+@pytest.mark.parametrize("cap", [1, 7, 12, None], ids=["cap-1", "cap-7", "cap-12", "default-cap"])
+def test_triangle_blocks_are_whole_rows_covering_each_pair_once(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(oracle, "_PAIR_BLOCK", cap)
+    # At the last n the first rows are wider than any of the caps.
+    for n in (0, 1, 2, 3, 13, 31, oracle._PAIR_BLOCK + 3):
+        blocks = list(oracle._triangle_blocks(n))
+        # Runs of whole rows, back to back from row 0 to row n - 2.
+        edges = [0] + [rows.stop for rows, _ in blocks]
+        assert [(rows.start, rows.stop) for rows, _ in blocks] == list(zip(edges, edges[1:]))
+        assert edges[-1] == max(n - 1, 0)
+        for rows, cols in blocks:
+            assert rows.stop > rows.start and cols == slice(rows.start + 1, n)
+            height = rows.stop - rows.start
+            assert height * (n - 1 - rows.start) <= oracle._PAIR_BLOCK or height == 1
+        if n < 100:  # the pairs, as ``_pair_blocks`` masks and reads them
+            index = np.arange(n)
+            pairs = [
+                (rows.start + i, cols.start + j)
+                for rows, cols in blocks
+                for i, j in zip(*np.nonzero(index[rows, None] < index[None, cols]))
+            ]
+            assert pairs == list(itertools.combinations(range(n), 2))
 
 
 def test_grid_check_unknown_id():
