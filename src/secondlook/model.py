@@ -199,13 +199,19 @@ def posterior_after_both(
     return _posterior(check_probability(p), info, check_component(s1), check_component(s2))
 
 
+def _marginal(p, theta: float, value: SignalComponentValue):
+    # Probability that a component of precision ``theta`` takes ``value`` at
+    # belief ``p``, a validated float or a numpy row of them: the one
+    # statement of a component's marginal.
+    like_a, like_b = _likelihoods(theta, value)
+    return p * like_a + (1.0 - p) * like_b
+
+
 def marginal_first(
     p: float, info: InformationStructure, s1: SignalComponentValue
 ) -> float:
     """Unconditional probability that the first component takes value ``s1``."""
-    p = check_probability(p)
-    like_a, like_b = _likelihoods(info.theta1, check_component(s1))
-    return p * like_a + (1.0 - p) * like_b
+    return _marginal(check_probability(p), info.theta1, check_component(s1))
 
 
 def conditional_second(
@@ -217,8 +223,7 @@ def conditional_second(
     so this is just the second-component marginal evaluated at that belief.
     """
     q = check_probability(p_after_first, "p_after_first")
-    like_a, like_b = _likelihoods(info.theta2, check_component(s2))
-    return q * like_a + (1.0 - q) * like_b
+    return _marginal(q, info.theta2, check_component(s2))
 
 
 def signal_law(

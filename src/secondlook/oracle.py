@@ -47,11 +47,13 @@ from .model import (
 )
 from .patterns import (
     confirmation_report,
+    confirmation_verdict,
     disconfirmation_report,
     pairwise_outcome,
     polarization_routes,
     polarization_verdict,
     reaction_report,
+    reaction_verdict,
     realized_rows,
 )
 from .sets import b_memberships, extreme_sets, inversion_thresholds
@@ -403,6 +405,12 @@ def _wtp_by_first(
 # scalar API applies to one pair (``b_memberships``, ``polarization_verdict``,
 # ``polarization_routes``).  The mirrored claims select their pairs on blocks
 # of willingness and evaluate each with ``pairwise_outcome``.
+#
+# ``confirmation`` and ``reaction`` compare ``_single_rows``, also built once
+# per slice from ``realized_rows``, through the verdicts the scalar reports
+# read on one prior (``confirmation_verdict``, ``reaction_verdict``), against
+# a characterization from the oracle's own willingness; ``np.nonzero`` on the
+# (prior, signal) transpose lists violations in prior, then signal order.
 
 #: Pair cells per block of the pair triangle.
 _PAIR_BLOCK = 1 << 16
@@ -417,7 +425,7 @@ def _slice_rows(keep, info, payoffs, cost):
     # the characterization; from ``realized_rows``, the realized belief and
     # acquisition at each signal of ALL_SIGNALS and the crossing posteriors.
     p = np.array([prior for prior, _ in keep])
-    return (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost))
+    return (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost)[:3])
 
 
 def _triangle_blocks(n):
@@ -530,38 +538,48 @@ def _disconfirmation(keep, info, payoffs, cost):
             )
 
 
+def _single_rows(keep, info, payoffs, cost):
+    # Per kept prior: prior and, per signal of ALL_SIGNALS, whether the
+    # oracle's own willingness after its first component skips for the
+    # characterization; from ``realized_rows``, the realized belief and the
+    # full posterior.
+    p = np.array([prior for prior, _ in keep])
+    skips = cost > _wtp_rows(keep)[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]
+    belief, _, _, full = realized_rows(p, info, payoffs, cost)
+    return p, skips, belief, full
+
+
 def _confirmation(keep, info, payoffs, cost):
+    keep = [(p, wtp) for p, wtp in keep if p != 0.5]  # no favored state at 1/2
+    p, skips, belief, full = _single_rows(keep, info, payoffs, cost)
+    confirmatory, disproving = confirmation_verdict(p, belief, full)
+    # The contrary pattern is (alpha, beta) above 1/2 and (beta, alpha) below;
+    # the supportive one is the other.
     theta_up = info.theta2 > info.theta1
-    for p, wtp in keep:
-        if p == 0.5:
-            continue  # no favored state; the definition does not apply
-        contrary_pattern = Signal(ALPHA, BETA) if p > 0.5 else Signal(BETA, ALPHA)
-        supportive_pattern = Signal(BETA, ALPHA) if p > 0.5 else Signal(ALPHA, BETA)
-        for signal in ALL_SIGNALS:
-            report = confirmation_report(p, info, payoffs, cost, signal)
-            skips = cost > wtp[signal.first]
-            char_cb = theta_up and skips and signal == contrary_pattern
-            char_db = theta_up and skips and signal == supportive_pattern
-            if report.confirmatory != char_cb or report.disproving != char_db:
-                yield (("p", p), ("signal", signal.label())), (
-                    f"(CB, DB)=({report.confirmatory}, {report.disproving}) "
-                    f"vs characterization ({char_cb}, {char_db})"
-                )
+    high, neither = p > 0.5, np.zeros(len(keep), dtype=bool)
+    char_cb = theta_up & skips & np.array([neither, high, ~high, neither])
+    char_db = theta_up & skips & np.array([neither, ~high, high, neither])
+    flagged = (confirmatory != char_cb) | (disproving != char_db)
+    for k, s in zip(*np.nonzero(flagged.T)):
+        yield (("p", keep[k][0]), ("signal", ALL_SIGNALS[s].label())), (
+            f"(CB, DB)=({bool(confirmatory[s, k])}, {bool(disproving[s, k])}) "
+            f"vs characterization ({bool(char_cb[s, k])}, {bool(char_db[s, k])})"
+        )
 
 
 def _reaction(keep, info, payoffs, cost):
+    p, skips, belief, full = _single_rows(keep, info, payoffs, cost)
+    under, over = reaction_verdict(p, belief, full)
     theta_down = info.theta2 < info.theta1
-    for p, wtp in keep:
-        for signal in ALL_SIGNALS:
-            report = reaction_report(p, info, payoffs, cost, signal)
-            skips = cost > wtp[signal.first]
-            char_ur = skips and signal.first is signal.second
-            char_or = skips and signal.first is not signal.second and theta_down
-            if report.underreaction != char_ur or report.overreaction != char_or:
-                yield (("p", p), ("signal", signal.label())), (
-                    f"(UR, OR)=({report.underreaction}, {report.overreaction}) "
-                    f"vs characterization ({char_ur}, {char_or})"
-                )
+    agreeing = np.array([[s.first is s.second] for s in ALL_SIGNALS])
+    char_ur = skips & agreeing
+    char_or = skips & ~agreeing & theta_down
+    flagged = (under != char_ur) | (over != char_or)
+    for k, s in zip(*np.nonzero(flagged.T)):
+        yield (("p", keep[k][0]), ("signal", ALL_SIGNALS[s].label())), (
+            f"(UR, OR)=({bool(under[s, k])}, {bool(over[s, k])}) "
+            f"vs characterization ({bool(char_ur[s, k])}, {bool(char_or[s, k])})"
+        )
 
 
 _CLAIMS = {

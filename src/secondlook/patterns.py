@@ -19,11 +19,13 @@ benchmark for a single one, produces the patterns this module quantifies:
   the full-information posterior.
 
 Pairwise feasibility and probability take the asymmetric-acquisition sets
-from :mod:`secondlook.sets` as inputs.  The pair outcome and the four
-feasibility routes are each stated once, in :func:`polarization_verdict` and
-:func:`polarization_routes`, with operators that work on floats and numpy
-rows alike: the scalar API feeds them one validated pair, the grid checks of
-:mod:`secondlook.oracle` blocks of pairs built from :func:`realized_rows`.
+from :mod:`secondlook.sets` as inputs.  The pair outcome, the four
+feasibility routes and the two single-prior verdicts are each stated once,
+in :func:`polarization_verdict`, :func:`polarization_routes`,
+:func:`confirmation_verdict` and :func:`reaction_verdict`, with operators
+that work on floats and numpy rows alike: the scalar API feeds them one
+validated pair or prior, the grid checks of :mod:`secondlook.oracle` rows
+and blocks of pairs built from :func:`realized_rows`.
 The probability formula reads the product :func:`secondlook.model.signal_law`
 at a caller-supplied subjective prior; that prior is deliberately never
 defaulted, because nothing in the model pins it down.
@@ -75,15 +77,16 @@ def realized_posterior(
 
 
 def realized_rows(p, info: InformationStructure, payoffs: PayoffStructure, cost: float):
-    """:func:`realized_posterior` and the crossing posteriors of a numpy row of priors.
+    """:func:`realized_posterior`, the crossing and the full posteriors of a numpy row of priors.
 
-    Returns ``(belief, acquires, crossing)``, each four rows with priors
+    Returns ``(belief, acquires, crossing, full)``, each four rows with priors
     along the last axis: the realized belief and whether it acquires, one row
-    per signal of ``ALL_SIGNALS``, and the four posteriors of
+    per signal of ``ALL_SIGNALS``; the four posteriors of
     :func:`polarization_routes`' ``crossing`` (the interim and full belief at
-    (alpha, beta), then the full and interim belief at (beta, alpha)).  Each
-    prior's willingness comes from :func:`willingness_to_pay`, which validates
-    it; the beliefs come from the updating step of the scalar posteriors, so
+    (alpha, beta), then the full and interim belief at (beta, alpha)); and
+    the full posterior at each signal of ``ALL_SIGNALS``.  Each prior's
+    willingness comes from :func:`willingness_to_pay`, which validates it;
+    the beliefs come from the updating step of the scalar posteriors, so
     every value equals the scalar API's bit for bit.
     """
     import numpy as np  # only the grid checks build rows
@@ -95,12 +98,12 @@ def realized_rows(p, info: InformationStructure, payoffs: PayoffStructure, cost:
         for s1 in (ALPHA, BETA)
     }
     interim = {s1: _posterior(p, info, s1) for s1 in (ALPHA, BETA)}
-    full = [_posterior(p, info, s.first, s.second) for s in ALL_SIGNALS]
+    full = np.array([_posterior(p, info, s.first, s.second) for s in ALL_SIGNALS])
     acquires = np.array([acquires_after[s.first] for s in ALL_SIGNALS])
     belief = np.where(acquires, full, [interim[s.first] for s in ALL_SIGNALS])
     # ALL_SIGNALS[1] is (alpha, beta) and ALL_SIGNALS[2] is (beta, alpha).
     crossing = np.array([interim[ALPHA], full[1], full[2], interim[BETA]])
-    return belief, acquires, crossing
+    return belief, acquires, crossing, full
 
 
 @dataclass(frozen=True)
@@ -305,6 +308,20 @@ class ConfirmationReport:
     acquired: bool
 
 
+def confirmation_verdict(p, realized, full):
+    """Confirmatory and disproving, from the prior, realized belief and full posterior.
+
+    Toward A, the realized belief rises above the prior while the full
+    posterior falls below it; away from A, the mirror.  Above 1/2 toward A
+    is confirmatory and away from it disproving, below 1/2 the reverse, and
+    at 1/2 neither holds.  Floats give bools; numpy rows give rows.
+    """
+    toward = (full < p) & (p < realized)
+    away = (realized < p) & (p < full)
+    above, below = p > 0.5, p < 0.5
+    return above & toward | below & away, above & away | below & toward
+
+
 def confirmation_report(
     p: float,
     info: InformationStructure,
@@ -326,12 +343,7 @@ def confirmation_report(
         )
     realized, action = realized_posterior(p, info, payoffs, cost, signal)
     full = posterior_after_both(p, info, signal.first, signal.second)
-    toward = full < p < realized  # realized moved toward the favored state A
-    away = realized < p < full
-    if p > 0.5:
-        confirmatory, disproving = toward, away
-    else:
-        confirmatory, disproving = away, toward
+    confirmatory, disproving = confirmation_verdict(p, realized, full)
     return ConfirmationReport(
         confirmatory=confirmatory,
         disproving=disproving,
@@ -351,6 +363,18 @@ class ReactionReport:
     realized: float
 
 
+def reaction_verdict(p, realized, full):
+    """Under- and over-reaction, from the prior, realized belief and full posterior.
+
+    Under: the realized belief strictly between the prior and the full
+    posterior.  Over: the full posterior strictly between the prior and the
+    realized belief.  Floats give bools; numpy rows give rows.
+    """
+    under = (p < realized) & (realized < full) | (full < realized) & (realized < p)
+    over = (p < full) & (full < realized) | (realized < full) & (full < p)
+    return under, over
+
+
 def reaction_report(
     p: float,
     info: InformationStructure,
@@ -368,8 +392,7 @@ def reaction_report(
     p = check_probability(p)
     realized, _ = realized_posterior(p, info, payoffs, cost, signal)
     full = posterior_after_both(p, info, signal.first, signal.second)
-    under = p < realized < full or full < realized < p
-    over = p < full < realized or realized < full < p
+    under, over = reaction_verdict(p, realized, full)
     return ReactionReport(
         underreaction=under,
         overreaction=over,

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -21,6 +22,7 @@ from secondlook import (
     classify_case,
     classify_pair,
     cli,
+    model,
     sets,
 )
 from secondlook.cli import main
@@ -375,6 +377,21 @@ def test_verify_counts_suite_violations_into_the_total(capsys, monkeypatch):
     assert any(line.startswith("verification FAILED (89 violations, ") for line in lines)
 
 
+@pytest.mark.parametrize("law", ["full posterior", "marginal"])
+def test_updating_identity_suite_flags_a_perturbed_law(monkeypatch, law):
+    # A full posterior 1e-9 off breaks the chain at every draw, and a marginal
+    # 1e-9 off the martingale, so the row suite counts all 2,000 draws.
+    if law == "full posterior":
+        def perturbed(p, info, s1, s2=None):
+            return model._posterior(p, info, s1, s2) + (0.0 if s2 is None else 1e-9)
+
+        monkeypatch.setattr(cli, "_posterior", perturbed)
+    else:
+        monkeypatch.setattr(cli, "_marginal", lambda *args: model._marginal(*args) + 1e-9)
+    counts = dict(cli._verify_invariants(DEFAULT_CONFIG))
+    assert counts["updating identities"] == 2000
+
+
 def test_pair_suite_counts_what_classify_pair_counts(monkeypatch):
     # A B law loosened by 0.01 breaks the implication for some pairs.  The row
     # suite must flag exactly the pairs that one classify_pair call per pair
@@ -438,6 +455,38 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path, capsys, target)
     assert out == ""
     assert err.startswith(f"error: {out_path}: cannot write output: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_unwritable_output_exits_one_before_the_compute(capsys, monkeypatch):
+    def compute(*args, **kwargs):
+        raise AssertionError("the grid checks ran before the output was opened")
+
+    monkeypatch.setattr(cli, "grid_theorem_check", compute)
+    code, out, err = run_cli(capsys, "verify", "--out", "/nonexistent/x.txt")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: /nonexistent/x.txt: cannot write output: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_failed_run_leaves_an_existing_output_file_unchanged(tmp_path, capsys):
+    out_path = tmp_path / "existing.csv"
+    out_path.write_bytes(b"earlier output\n")
+    code, _, err = run_cli(capsys, "polarize", "--priors", "0.3", "--out", str(out_path))
+    assert code == 1
+    assert err == "error: the polarize command needs two priors (low, high)\n"
+    assert out_path.read_bytes() == b"earlier output\n"
+    # A later run replaces the whole file, however long the earlier text.
+    out_path.write_bytes(b"x" * 100_000)
+    code, _, _ = run_cli(capsys, "partition", "--out", str(out_path))
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == STDOUT_SHA256[("partition",)]
+
+
+def test_output_to_a_device_is_written_without_truncating(capsys):
+    code, out, err = run_cli(capsys, "partition", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

@@ -22,6 +22,7 @@ from secondlook import (
     UnknownPatternError,
     brute_force_voi,
     classify_pair,
+    confirmation_report,
     default_prior_grid,
     grid_theorem_check,
     marginal_first,
@@ -35,7 +36,13 @@ from secondlook import (
     willingness_to_pay,
 )
 from secondlook import incentives, oracle
-from secondlook.patterns import polarization_routes, polarization_verdict
+from secondlook.patterns import (
+    confirmation_verdict,
+    polarization_routes,
+    polarization_verdict,
+    reaction_verdict,
+    realized_rows,
+)
 from secondlook.sets import b_memberships
 
 SMALL_GRID = default_prior_grid(21)
@@ -274,10 +281,10 @@ def test_grid_checks_evaluate_cost_ties(monkeypatch):
     seen = []
 
     def recording(p, *args):
-        seen.append(p)
-        return reaction_report(p, *args)
+        seen.extend(p.tolist())
+        return realized_rows(p, *args)
 
-    monkeypatch.setattr("secondlook.oracle.reaction_report", recording)
+    monkeypatch.setattr("secondlook.oracle.realized_rows", recording)
     priors = [1e-7, 0.5, 1 - 1e-7]
     violations = grid_theorem_check("reaction", priors=priors, thetas=((0.6, 0.8),), costs=(0.0,))
     assert violations == []
@@ -408,6 +415,80 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
                 ]
         assert seen == list(itertools.combinations(grid, 2))
         assert list(oracle._mirrored(keep, info, payoffs, cost)) == mirrored
+
+
+@pytest.mark.parametrize(
+    "payoffs", [PayoffStructure(1.0, 0.0), PayoffStructure(2.0, 0.5)], ids=str
+)
+@pytest.mark.parametrize("theta", AGREEMENT_THETAS + [(0.8, 0.8000000000000002)], ids=str)
+def test_verdict_rows_match_scalar_reports_exactly(theta, payoffs):
+    # ``==``, not approx: the rows ``confirmation`` and ``reaction`` compare are
+    # the two verdicts on ``realized_rows``, and the scalar reports read the
+    # same verdicts on the scalar posteriors.  The near-equal precisions put
+    # realized and full posteriors on neighbouring doubles, where the order is
+    # decided by round-off; both paths must decide it the same way.
+    info = InformationStructure(*theta)
+    priors = default_prior_grid(31).tolist() + [0.0, 1e-7, 1.0]
+    row = np.array(priors)
+    for cost in AGREEMENT_COSTS:
+        belief, _, _, full = realized_rows(row, info, payoffs, cost)
+        confirmatory, disproving = confirmation_verdict(row, belief, full)
+        under, over = reaction_verdict(row, belief, full)
+        for s, signal in enumerate(ALL_SIGNALS):
+            reports = [reaction_report(p, info, payoffs, cost, signal) for p in priors]
+            assert [under[s].tolist(), over[s].tolist()] == [
+                [r.underreaction for r in reports],
+                [r.overreaction for r in reports],
+            ]
+            assert full[s].tolist() == [r.full_posterior for r in reports]
+            assert belief[s].tolist() == [r.realized for r in reports]
+            favored = [k for k, p in enumerate(priors) if p != 0.5]
+            reports = [confirmation_report(priors[k], info, payoffs, cost, signal) for k in favored]
+            assert [confirmatory[s, favored].tolist(), disproving[s, favored].tolist()] == [
+                [r.confirmatory for r in reports],
+                [r.disproving for r in reports],
+            ]
+
+
+# (count, SHA-256 of repr) of the single-prior lists at grid 61, recorded from
+# the loops that made one scalar report call per (prior, signal): with the
+# characterization's willingness offset both ways, and at near-equal
+# precisions, where the verdicts' strict orders meet round-off.
+SINGLE_PRIOR_LISTS = {
+    ("confirmation", "offset +0.003"): (
+        2, "28ff7a7f8fc62a0005d2a2005ad420c6f96786fd59a49b43a5257ded456ad474"
+    ),
+    ("confirmation", "offset -0.003"): (
+        10, "8141e0f27d27ae5de33cc295c9fcb076aa56dc54ee9dec15b3f7c3e87f000e02"
+    ),
+    ("confirmation", "near-equal precisions"): (
+        46, "2095e6beddfef1bd59628f0e7edc97993575fa12ae14add420a14a897984437d"
+    ),
+    ("reaction", "offset +0.003"): (
+        2, "b6c1022b1d64d568e7c1f15442ee4205d3c1b7c642187da71eebbfb28426b04e"
+    ),
+    ("reaction", "offset -0.003"): (
+        14, "ef6a64af0879b961af8dd988736ccf9939842b0b85390cf83fc066e4482277c6"
+    ),
+    ("reaction", "near-equal precisions"): (
+        46, "4278636b63066def062e11859f811373c88be1b6d2e7fcd8e63646b6c7f92f7f"
+    ),
+}
+
+
+@pytest.mark.parametrize("check, case", SINGLE_PRIOR_LISTS, ids="-".join)
+def test_single_prior_lists_keep_prior_and_signal_order(monkeypatch, check, case):
+    thetas = oracle.DEFAULT_THETAS
+    if case == "near-equal precisions":
+        thetas = ((0.8, 0.8000000000000002), (0.8000000000000002, 0.8))
+    else:
+        offset = 0.003 if case == "offset +0.003" else -0.003
+        monkeypatch.setattr(
+            oracle, "willingness_to_pay", lambda *args: willingness_to_pay(*args) + offset
+        )
+    violations = grid_theorem_check(check, priors=default_prior_grid(61), thetas=thetas)
+    digest = hashlib.sha256(repr(violations).encode()).hexdigest()
+    assert (len(violations), digest) == SINGLE_PRIOR_LISTS[check, case]
 
 
 def _flipped_verdict(*args):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -32,7 +34,13 @@ from secondlook import (
     willingness_to_pay,
 )
 from secondlook.model import _posterior, check_cost
-from secondlook.patterns import polarization_routes, polarization_verdict, realized_rows
+from secondlook.patterns import (
+    confirmation_verdict,
+    polarization_routes,
+    polarization_verdict,
+    reaction_verdict,
+    realized_rows,
+)
 from secondlook.sets import b_memberships
 
 
@@ -453,6 +461,25 @@ def test_overreaction_with_weaker_second_component(payoffs):
     assert 0.7 < report.full_posterior < report.realized
 
 
+def test_verdicts_are_the_chained_orders():
+    # The verdicts use ``&`` and ``|`` so that rows work too; on floats they
+    # are the chained strict orders of the definitions, ties false.  Every
+    # order of three values, ties included, on floats and on one-cell rows.
+    for values in itertools.product([0.0, 0.3, 0.5, 0.7, 1.0], repeat=3):
+        p, realized, full = values
+        toward, away = full < p < realized, realized < p < full
+        assert confirmation_verdict(*values) == (
+            (toward, away) if p > 0.5 else (away, toward) if p < 0.5 else (False, False)
+        )
+        assert reaction_verdict(*values) == (
+            p < realized < full or full < realized < p,
+            p < full < realized or realized < full < p,
+        )
+        for verdict in (confirmation_verdict, reaction_verdict):
+            rows = verdict(*(np.array([x]) for x in values))
+            assert [x.tolist() for x in rows] == [[x] for x in verdict(*values)]
+
+
 COST_TAKERS = {
     "check_cost": lambda c, info, payoffs: check_cost(c),
     "inversion_thresholds": lambda c, info, payoffs: inversion_thresholds(
@@ -566,11 +593,14 @@ def test_realized_rows_equal_the_scalar_api_bit_for_bit(
         assert hexes(_posterior(row, info, signal.first, signal.second)) == hexes(
             posterior_after_both(p, info, signal.first, signal.second) for p in priors
         )
-    belief, acquires, crossing = realized_rows(row, info, payoffs, cost)
+    belief, acquires, crossing, full = realized_rows(row, info, payoffs, cost)
     for s, signal in enumerate(ALL_SIGNALS):
         scalar = [realized_posterior(p, info, payoffs, cost, signal) for p in priors]
         assert hexes(belief[s]) == hexes(post for post, _ in scalar)
         assert acquires[s].tolist() == [act is AcquisitionAction.ACQUIRE for _, act in scalar]
+        assert hexes(full[s]) == hexes(
+            posterior_after_both(p, info, signal.first, signal.second) for p in priors
+        )
     assert [hexes(x) for x in crossing] == [
         hexes(posterior_after_first(p, info, ALPHA) for p in priors),
         hexes(posterior_after_both(p, info, ALPHA, BETA) for p in priors),
