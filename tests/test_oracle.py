@@ -430,6 +430,7 @@ def test_verdict_rows_match_scalar_reports_exactly(theta, payoffs):
     info = InformationStructure(*theta)
     priors = default_prior_grid(31).tolist() + [0.0, 1e-7, 1.0]
     row = np.array(priors)
+    favored = [k for k, p in enumerate(priors) if p != 0.5]
     for cost in AGREEMENT_COSTS:
         belief, _, _, full = realized_rows(row, info, payoffs, cost)
         confirmatory, disproving = confirmation_verdict(row, belief, full)
@@ -442,7 +443,6 @@ def test_verdict_rows_match_scalar_reports_exactly(theta, payoffs):
             ]
             assert full[s].tolist() == [r.full_posterior for r in reports]
             assert belief[s].tolist() == [r.realized for r in reports]
-            favored = [k for k, p in enumerate(priors) if p != 0.5]
             reports = [confirmation_report(priors[k], info, payoffs, cost, signal) for k in favored]
             assert [confirmatory[s, favored].tolist(), disproving[s, favored].tolist()] == [
                 [r.confirmatory for r in reports],
@@ -476,7 +476,9 @@ SINGLE_PRIOR_LISTS = {
 }
 
 
-@pytest.mark.parametrize("check, case", SINGLE_PRIOR_LISTS, ids="-".join)
+@pytest.mark.parametrize(
+    "check, case", SINGLE_PRIOR_LISTS, ids=[f"{c}-{case}" for c, case in SINGLE_PRIOR_LISTS]
+)
 def test_single_prior_lists_keep_prior_and_signal_order(monkeypatch, check, case):
     thetas = oracle.DEFAULT_THETAS
     if case == "near-equal precisions":
