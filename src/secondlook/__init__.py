@@ -70,14 +70,11 @@ from .oracle import (
     ALL_CHECKS,
     EXTRA_CHECKS,
     MonteCarloEstimate,
-    OutcomeEntry,
-    OutcomeTable,
     Violation,
     brute_force_voi,
     default_prior_grid,
     grid_theorem_check,
     mc_pattern_frequency,
-    outcome_table,
     pattern_probability,
 )
 from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config

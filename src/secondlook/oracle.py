@@ -1,18 +1,22 @@
 """Ground-truth machinery: brute-force value of information, Monte Carlo, grid checks.
 
-Nothing here consults the eight-case classification or the piecewise cost
-formulas when producing reference values.  The value of information is
-recomputed by enumerating every (state, second component) contingency and
-taking expected-utility-optimal guesses branch by branch, so agreement with
-:func:`secondlook.incentives.willingness_to_pay` is a genuine two-route
-check rather than the same algebra twice.
+Nothing here consults the eight-case classification, the piecewise cost
+formulas or the extreme sets when producing reference values.  The value of
+information is recomputed by enumerating every (state, second component)
+contingency and taking expected-utility-optimal guesses branch by branch, so
+agreement with :func:`secondlook.incentives.willingness_to_pay` is a genuine
+two-route check rather than the same algebra twice.  The enumeration is one
+private function of plain numbers: :func:`brute_force_voi` validates one
+prior and feeds it a float, the grid checks feed it a numpy row of priors,
+and ``Fraction`` inputs give the exact value.
 
 The grid checkers replay the package's own predicate functions across prior,
 precision, and cost grids and compare them against independently coded
-characterizations (conditions on the signal realization, the cost, and the
-relative precisions).  Both sides read one acquisition rule, ties acquire,
-so exact cost ties are evaluated like any other point.  Grid points within a
-small band of a case boundary or an inversion threshold are skipped.
+characterizations (conditions on the signal realization, the cost, the
+relative precisions and the enumerated willingness).  Both sides read one
+acquisition rule, ties acquire, so exact cost ties are evaluated like any
+other point.  Grid points within a small band of a case boundary or an
+inversion threshold are skipped.
 """
 
 from __future__ import annotations
@@ -23,11 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderingError, ParameterError, UnknownPatternError
-from .incentives import (
-    case_thresholds,
-    max_willingness_to_pay,
-    willingness_to_pay,
-)
+from .incentives import case_thresholds, max_willingness_to_pay
 from .model import (
     ALL_SIGNALS,
     ALPHA,
@@ -36,7 +36,6 @@ from .model import (
     PayoffStructure,
     Signal,
     SignalComponentValue,
-    StateOfWorld,
     check_component,
     check_cost,
     check_count,
@@ -56,7 +55,7 @@ from .patterns import (
     reaction_verdict,
     realized_rows,
 )
-from .sets import b_memberships, extreme_sets, inversion_thresholds
+from .sets import b_memberships, inversion_thresholds
 
 PATTERN_IDS = ("PB", "CB", "DB", "UR", "OR")
 
@@ -79,88 +78,31 @@ ALL_CHECKS = (
 EXTRA_CHECKS = ("mirrored_no_divergence",)
 
 
-@dataclass(frozen=True)
-class OutcomeEntry:
-    """One (state, second component) contingency conditional on the first."""
-
-    state: StateOfWorld
-    second: SignalComponentValue
-    joint: float
-    utility_acquire: float
-    utility_skip: float
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """Full enumeration behind the acquire-versus-skip comparison."""
-
-    entries: tuple[OutcomeEntry, ...]
-
-    def __post_init__(self):
-        total = sum(entry.joint for entry in self.entries)
-        if abs(total - 1.0) > 1e-12:
-            raise ParameterError(f"joint probabilities sum to {total}, not 1")
-
-
-def _interim(p: float, theta1: float, s1: SignalComponentValue) -> float:
-    # Bayes on the first component from raw likelihoods, kept local so this
-    # module does not depend on the updating helpers it is meant to check.
-    like_a = theta1 if s1 is ALPHA else 1.0 - theta1
-    like_b = 1.0 - like_a
-    return like_a * p / (like_a * p + like_b * (1.0 - p))
-
-
-def outcome_table(
-    p: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-    s1: SignalComponentValue,
-) -> OutcomeTable:
-    """Enumerate states and second-component values given the observed first.
-
-    Each entry carries the joint probability of the contingency, the utility
-    earned there under the acquire-then-guess-optimally plan (gross of the
-    processing cost), and under the guess-now plan.
-    """
-    p = check_probability(p)
-    q = _interim(p, info.theta1, check_component(s1))
-    guess_skip_a = q >= 0.5
-    # Branch-optimal guesses after each second-component value.
-    branch_guess_a = {}
-    for s2 in (ALPHA, BETA):
-        prob_s2 = q * _like2(info, s2, StateOfWorld.A) + (1.0 - q) * _like2(
-            info, s2, StateOfWorld.B
-        )
-        post = q * _like2(info, s2, StateOfWorld.A) / prob_s2
-        branch_guess_a[s2] = post >= 0.5
-    entries = []
-    for state in (StateOfWorld.A, StateOfWorld.B):
-        prob_state = q if state is StateOfWorld.A else 1.0 - q
-        for s2 in (ALPHA, BETA):
-            joint = prob_state * _like2(info, s2, state)
-            correct_acquire = branch_guess_a[s2] == (state is StateOfWorld.A)
-            correct_skip = guess_skip_a == (state is StateOfWorld.A)
-            entries.append(
-                OutcomeEntry(
-                    state=state,
-                    second=s2,
-                    joint=joint,
-                    utility_acquire=payoffs.u_correct
-                    if correct_acquire
-                    else payoffs.u_wrong,
-                    utility_skip=payoffs.u_correct
-                    if correct_skip
-                    else payoffs.u_wrong,
-                )
-            )
-    return OutcomeTable(entries=tuple(entries))
-
-
-def _like2(
-    info: InformationStructure, s2: SignalComponentValue, state: StateOfWorld
-) -> float:
-    matches = (s2 is ALPHA) == (state is StateOfWorld.A)
-    return info.theta2 if matches else 1.0 - info.theta2
+def _voi(p, theta1, theta2, u_correct, u_wrong, s1):
+    # Expected-utility gain of observing the second component after ``s1``,
+    # unclamped, from plain numbers: a float, a numpy row of priors or
+    # ``Fraction`` values, with only + - * /, comparisons and integer
+    # literals, so a ``Fraction`` input gives the exact gain.  Bayes on the
+    # first component from raw likelihoods, kept local so this module does not
+    # depend on the updating helpers it is meant to check.
+    like_a = theta1 if s1 is ALPHA else 1 - theta1
+    q = like_a * p / (like_a * p + (1 - like_a) * (1 - p))
+    # Joint probability of each (state, second component): A then B, and
+    # alpha then beta within a state.
+    joint = ((q * theta2, q * (1 - theta2)), ((1 - q) * (1 - theta2), (1 - q) * theta2))
+    # Guess A (1) or B (0) now and after each second component; a posterior
+    # of 1/2 guesses A.
+    now = 1 * (2 * q >= 1)
+    after = [1 * (2 * (a / (a + b)) >= 1) for a, b in zip(*joint)]
+    # Each contingency gains the utility of the acquiring plan's guess less
+    # that of the guess now: delta_u times (guess - now) in state A, where
+    # guessing A is right, and times (now - guess) in state B.
+    delta = u_correct - u_wrong
+    gain = 0
+    for in_state, sign in ((joint[0], 1), (joint[1], -1)):
+        for j, guess in zip(in_state, after):
+            gain = gain + j * (delta * (sign * (guess - now)))
+    return gain
 
 
 def brute_force_voi(
@@ -171,10 +113,12 @@ def brute_force_voi(
 ) -> float:
     """Expected-utility gain from observing the second component before guessing.
 
-    Computed purely from the outcome enumeration; never negative.
+    Computed purely by enumerating the (state, second component)
+    contingencies; never negative.
     """
-    table = outcome_table(p, info, payoffs, s1)
-    gain = sum(e.joint * (e.utility_acquire - e.utility_skip) for e in table.entries)
+    p = check_probability(p)
+    s1 = check_component(s1)
+    gain = _voi(p, info.theta1, info.theta2, payoffs.u_correct, payoffs.u_wrong, s1)
     return max(0.0, gain)
 
 
@@ -384,16 +328,10 @@ def _near(x: float, values) -> bool:
     return any(abs(x - v) <= BOUNDARY_EPS for v in values)
 
 
-def _wtp_by_first(
-    p: float, info: InformationStructure, payoffs: PayoffStructure
-) -> dict[SignalComponentValue, float]:
-    return {s1: willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)}
-
-
-# Each claim below walks one (theta, cost) slice of kept priors, each with its
-# willingness to pay by first component, and yields ``(params, detail)`` per
-# violation; ``grid_theorem_check`` prefixes theta1, theta2 and cost to the
-# params.
+# Each claim below walks one (theta, cost) slice: the kept priors, as Python
+# floats, and their enumerated willingness to pay, a 2 x n row (after alpha,
+# then after beta), and yields ``(params, detail)`` per violation;
+# ``grid_theorem_check`` prefixes theta1, theta2 and cost to the params.
 #
 # The four pairwise claims walk the pair triangle one way, ``_pair_blocks``:
 # per-prior rows, built once per slice, compared in 2-D blocks of whole rows
@@ -409,23 +347,30 @@ def _wtp_by_first(
 # ``confirmation`` and ``reaction`` compare ``_single_rows``, also built once
 # per slice from ``realized_rows``, through the verdicts the scalar reports
 # read on one prior (``confirmation_verdict``, ``reaction_verdict``), against
-# a characterization from the oracle's own willingness; ``np.nonzero`` on the
+# a characterization from the enumerated willingness; ``np.nonzero`` on the
 # (prior, signal) transpose lists violations in prior, then signal order.
+# ``disconfirmation`` reads that willingness one prior at a time.
 
 #: Pair cells per block of the pair triangle.
 _PAIR_BLOCK = 1 << 16
 
 
-def _wtp_rows(keep):
-    return np.array([[w[ALPHA] for _, w in keep], [w[BETA] for _, w in keep]])
+def _enumerated_willingness(p, info, payoffs):
+    # The characterizations' willingness of a numpy row of priors, after alpha
+    # then after beta: the enumerated gain, clamped as in brute_force_voi.
+    gain = np.array([
+        _voi(p, info.theta1, info.theta2, payoffs.u_correct, payoffs.u_wrong, s1)
+        for s1 in (ALPHA, BETA)
+    ])
+    return np.where(gain > 0.0, gain, 0.0)
 
 
-def _slice_rows(keep, info, payoffs, cost):
-    # Per kept prior: prior and the oracle's own willingness (alpha, beta) for
+def _slice_rows(priors, wtp, info, payoffs, cost):
+    # Per kept prior: prior and the enumerated willingness (alpha, beta) for
     # the characterization; from ``realized_rows``, the realized belief and
     # acquisition at each signal of ALL_SIGNALS and the crossing posteriors.
-    p = np.array([prior for prior, _ in keep])
-    return (p, _wtp_rows(keep), *realized_rows(p, info, payoffs, cost)[:3])
+    p = np.array(priors)
+    return (p, wtp, *realized_rows(p, info, payoffs, cost)[:3])
 
 
 def _triangle_blocks(n):
@@ -450,9 +395,9 @@ def _pair_blocks(arrays):
         yield rows.start, cols.start, in_triangle, low, high
 
 
-def _polarization(keep, info, payoffs, cost):
+def _polarization(priors, wtp, info, payoffs, cost):
     more_informative = info.theta2 > info.theta1
-    blocks = _pair_blocks(_slice_rows(keep, info, payoffs, cost))
+    blocks = _pair_blocks(_slice_rows(priors, wtp, info, payoffs, cost))
     for a, b, in_triangle, low, high in blocks:
         (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) = low, high
         polarized = polarization_verdict(p_i, p_j, post_i, post_j)[2].any(axis=0)
@@ -461,13 +406,13 @@ def _polarization(keep, info, payoffs, cost):
         routes = polarization_routes(more_informative, p_i, p_j, one_sided, crossing)
         feasible = routes[0] | routes[1] | routes[2] | routes[3]
         for i, j in zip(*np.nonzero(in_triangle & (feasible != polarized))):
-            yield (("p_i", keep[a + i][0]), ("p_j", keep[b + j][0])), (
+            yield (("p_i", priors[a + i]), ("p_j", priors[b + j])), (
                 f"feasible={bool(feasible[i, j])} but realized={bool(polarized[i, j])}"
             )
 
 
-def _one_sided_updating(keep, info, payoffs, cost):
-    blocks = _pair_blocks(_slice_rows(keep, info, payoffs, cost))
+def _one_sided_updating(priors, wtp, info, payoffs, cost):
+    blocks = _pair_blocks(_slice_rows(priors, wtp, info, payoffs, cost))
     for a, b, in_triangle, low, high in blocks:
         (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) = low, high
         inversion = polarization_verdict(p_i, p_j, post_i, post_j)[1]
@@ -475,32 +420,32 @@ def _one_sided_updating(keep, info, payoffs, cost):
         # Signals moved last: pairs in order, signals in ALL_SIGNALS order.
         for i, j, s in zip(*np.nonzero(opposite.transpose(1, 2, 0))):
             yield (
-                ("p_i", keep[a + i][0]),
-                ("p_j", keep[b + j][0]),
+                ("p_i", priors[a + i]),
+                ("p_j", priors[b + j]),
                 ("signal", ALL_SIGNALS[s].label()),
             ), f"same action but inversion={float(inversion[s, i, j])}"
 
 
-def _mirrored(keep, info, payoffs, cost):
+def _mirrored(priors, wtp, cost):
     # Pairs where the high prior alone acquires after alpha, or the low one
     # after beta, in ``combinations`` order, with the signal where it shows.
-    for a, b, in_triangle, (wtp_i,), (wtp_j,) in _pair_blocks((_wtp_rows(keep),)):
+    for a, b, in_triangle, (wtp_i,), (wtp_j,) in _pair_blocks((wtp,)):
         _, _, high_alpha, low_beta = b_memberships(wtp_i, wtp_j, cost)
         cells = np.nonzero(in_triangle & (high_alpha | low_beta))
         # Lists, read once per block: indexing numpy scalars per pair is slower.
         selected = (*cells, high_alpha[cells], low_beta[cells])
         for i, j, alpha, beta in zip(*(x.tolist() for x in selected)):
-            p_i, p_j = keep[a + i][0], keep[b + j][0]
+            p_i, p_j = priors[a + i], priors[b + j]
             if alpha:
                 yield p_i, p_j, Signal(ALPHA, BETA)
             if beta:
                 yield p_i, p_j, Signal(BETA, ALPHA)
 
 
-def _ordered_gap_contraction(keep, info, payoffs, cost):
+def _ordered_gap_contraction(priors, wtp, info, payoffs, cost):
     if not info.theta2 > info.theta1:
         return
-    for p_i, p_j, signal in _mirrored(keep, info, payoffs, cost):
+    for p_i, p_j, signal in _mirrored(priors, wtp, cost):
         outcome = pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
         low, high = outcome.realized_posteriors
         growth = (high - low) - (p_j - p_i)
@@ -510,8 +455,8 @@ def _ordered_gap_contraction(keep, info, payoffs, cost):
             )
 
 
-def _mirrored_no_divergence(keep, info, payoffs, cost):
-    for p_i, p_j, signal in _mirrored(keep, info, payoffs, cost):
+def _mirrored_no_divergence(priors, wtp, info, payoffs, cost):
+    for p_i, p_j, signal in _mirrored(priors, wtp, cost):
         outcome = pairwise_outcome(p_i, p_j, info, payoffs, cost, signal)
         if outcome.divergence < 0.0:
             yield (("p_i", p_i), ("p_j", p_j), ("signal", signal.label())), (
@@ -519,15 +464,16 @@ def _mirrored_no_divergence(keep, info, payoffs, cost):
             )
 
 
-def _disconfirmation(keep, info, payoffs, cost):
-    sets = extreme_sets(info)
-    for p, wtp in keep:
+def _disconfirmation(priors, wtp, info, payoffs, cost):
+    for p, wtp_alpha, wtp_beta in zip(priors, *wtp.tolist()):
         report = disconfirmation_report(p, info, payoffs, cost)
-        char_tendency = p != 0.5 and not sets.is_extreme(p)
+        # Tendency: the prior is not extreme, that is, a second look is worth
+        # something after at least one first component.
+        char_tendency = p != 0.5 and (wtp_alpha > 0.0 or wtp_beta > 0.0)
         # Exhibits: acquires after the component contradicting the favored
         # state and skips after the supporting one.
-        contrary, supportive = (BETA, ALPHA) if p > 0.5 else (ALPHA, BETA)
-        char_exhibits = p != 0.5 and wtp[contrary] >= cost > wtp[supportive]
+        contrary, supportive = (wtp_beta, wtp_alpha) if p > 0.5 else (wtp_alpha, wtp_beta)
+        char_exhibits = p != 0.5 and contrary >= cost > supportive
         if report.tendency != char_tendency:
             yield (("p", p),), (
                 f"tendency={report.tendency} vs characterization={char_tendency}"
@@ -538,37 +484,38 @@ def _disconfirmation(keep, info, payoffs, cost):
             )
 
 
-def _single_rows(keep, info, payoffs, cost):
-    # Per kept prior: prior and, per signal of ALL_SIGNALS, whether the
-    # oracle's own willingness after its first component skips for the
-    # characterization; from ``realized_rows``, the realized belief and the
-    # full posterior.
-    p = np.array([prior for prior, _ in keep])
-    skips = cost > _wtp_rows(keep)[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]
+def _single_rows(priors, wtp, info, payoffs, cost):
+    # Per kept prior: prior and, per signal of ALL_SIGNALS, whether the prior
+    # skips after its first component by the enumerated willingness, counted
+    # only inside (0, 1), since a belief at 0 or 1 never moves; from
+    # ``realized_rows``, the realized belief and the full posterior.
+    p = np.array(priors)
+    skips = cost > wtp[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]
     belief, _, _, full = realized_rows(p, info, payoffs, cost)
-    return p, skips, belief, full
+    return p, skips & (0.0 < p) & (p < 1.0), belief, full
 
 
-def _confirmation(keep, info, payoffs, cost):
-    keep = [(p, wtp) for p, wtp in keep if p != 0.5]  # no favored state at 1/2
-    p, skips, belief, full = _single_rows(keep, info, payoffs, cost)
+def _confirmation(priors, wtp, info, payoffs, cost):
+    favored = [k for k, p in enumerate(priors) if p != 0.5]  # no favored state at 1/2
+    priors = [priors[k] for k in favored]
+    p, skips, belief, full = _single_rows(priors, wtp[:, favored], info, payoffs, cost)
     confirmatory, disproving = confirmation_verdict(p, belief, full)
     # The contrary pattern is (alpha, beta) above 1/2 and (beta, alpha) below;
     # the supportive one is the other.
     theta_up = info.theta2 > info.theta1
-    high, neither = p > 0.5, np.zeros(len(keep), dtype=bool)
+    high, neither = p > 0.5, np.zeros(len(priors), dtype=bool)
     char_cb = theta_up & skips & np.array([neither, high, ~high, neither])
     char_db = theta_up & skips & np.array([neither, ~high, high, neither])
     flagged = (confirmatory != char_cb) | (disproving != char_db)
     for k, s in zip(*np.nonzero(flagged.T)):
-        yield (("p", keep[k][0]), ("signal", ALL_SIGNALS[s].label())), (
+        yield (("p", priors[k]), ("signal", ALL_SIGNALS[s].label())), (
             f"(CB, DB)=({bool(confirmatory[s, k])}, {bool(disproving[s, k])}) "
             f"vs characterization ({bool(char_cb[s, k])}, {bool(char_db[s, k])})"
         )
 
 
-def _reaction(keep, info, payoffs, cost):
-    p, skips, belief, full = _single_rows(keep, info, payoffs, cost)
+def _reaction(priors, wtp, info, payoffs, cost):
+    p, skips, belief, full = _single_rows(priors, wtp, info, payoffs, cost)
     under, over = reaction_verdict(p, belief, full)
     theta_down = info.theta2 < info.theta1
     agreeing = np.array([[s.first is s.second] for s in ALL_SIGNALS])
@@ -576,7 +523,7 @@ def _reaction(keep, info, payoffs, cost):
     char_or = skips & ~agreeing & theta_down
     flagged = (under != char_ur) | (over != char_or)
     for k, s in zip(*np.nonzero(flagged.T)):
-        yield (("p", keep[k][0]), ("signal", ALL_SIGNALS[s].label())), (
+        yield (("p", priors[k]), ("signal", ALL_SIGNALS[s].label())), (
             f"(UR, OR)=({bool(under[s, k])}, {bool(over[s, k])}) "
             f"vs characterization ({bool(char_ur[s, k])}, {bool(char_or[s, k])})"
         )
@@ -615,7 +562,8 @@ def grid_theorem_check(
         a polarized outcome;
     ``disconfirmation``
         the willingness/decision definitions match the characterization via
-        the non-extreme set and the cost window;
+        the non-extreme set (a positive enumerated willingness after either
+        first component) and the cost window;
     ``confirmation``
         the posterior-ordering definitions of confirmatory/disproving
         patterns match the signal-and-cost characterization;
@@ -666,16 +614,19 @@ def grid_theorem_check(
             )
     if payoffs is None:
         payoffs = PayoffStructure(1.0, 0.0)
+    row = np.array(priors)
     violations: list[Violation] = []
     for theta1, theta2 in thetas:
         info = InformationStructure(theta1, theta2)
-        wtps = [(p, _wtp_by_first(p, info, payoffs)) for p in priors]
+        wtp = _enumerated_willingness(row, info, payoffs)
         for cost in costs:
             critical = _critical_priors(info, payoffs, cost)
-            keep = [(p, wtp) for p, wtp in wtps if not _near(p, critical)]
+            kept = [k for k, p in enumerate(priors) if not _near(p, critical)]
             base = (("theta1", info.theta1), ("theta2", info.theta2), ("cost", cost))
             violations.extend(
                 Violation(check, base + params, detail)
-                for params, detail in claim(keep, info, payoffs, cost)
+                for params, detail in claim(
+                    [priors[k] for k in kept], wtp[:, kept], info, payoffs, cost
+                )
             )
     return violations

@@ -183,8 +183,8 @@ def polarization_routes(more_informative, p_i, p_j, one_sided, crossing):
     swap_gap_alpha = (interim_alpha_i - full_alpha_j) - gap
     swap_gap_beta = (full_beta_i - interim_beta_j) - gap
     return (
-        more_informative & low_alpha,
-        more_informative & high_beta,
+        more_informative & (p_j < 1.0) & low_alpha,
+        more_informative & (p_i > 0.0) & high_beta,
         more_informative & (p_i > 0.0) & high_alpha & (swap_gap_alpha > 0.0),
         more_informative & (p_j < 1.0) & low_beta & (swap_gap_beta > 0.0),
     )
@@ -205,7 +205,9 @@ def polarization_feasible(
     first.  Four routes, two per first-component value:
 
     * low prior alone acquires after alpha (or high alone after beta): the
-      beliefs move apart in order, and that is already enough;
+      beliefs move apart in order, which polarizes exactly when the
+      non-acquirer's belief actually moves (high prior below 1, or low prior
+      above 0);
     * high prior alone acquires after alpha (or low alone after beta): the
       beliefs cross, which polarizes exactly when the crossed gap exceeds
       the prior gap and the non-acquirer's belief actually moves (interior

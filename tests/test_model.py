@@ -25,7 +25,6 @@ from secondlook import (
     h_set,
     inversion_thresholds,
     marginal_first,
-    outcome_table,
     posterior_after_both,
     posterior_after_first,
     reciprocal_partner,
@@ -245,7 +244,6 @@ def test_signal_components_must_be_alpha_or_beta(bad, info, payoffs):
         "h_set": lambda s: h_set(0.1, info, payoffs, s),
         "h_set above the maximum": lambda s: h_set(0.5, info, payoffs, s),
         "reciprocal_partner": lambda s: reciprocal_partner(0.3, info, payoffs, s),
-        "outcome_table": lambda s: outcome_table(0.3, info, payoffs, s),
         "brute_force_voi": lambda s: brute_force_voi(0.3, info, payoffs, s),
     }
     accepted = []

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secondlook import (
     ALL_CHECKS,
@@ -21,13 +24,13 @@ from secondlook import (
     Signal,
     UnknownPatternError,
     brute_force_voi,
+    case_thresholds,
     classify_pair,
     confirmation_report,
     default_prior_grid,
     grid_theorem_check,
     marginal_first,
     mc_pattern_frequency,
-    outcome_table,
     pairwise_outcome,
     pattern_probability,
     polarization_feasible,
@@ -35,7 +38,7 @@ from secondlook import (
     reaction_report,
     willingness_to_pay,
 )
-from secondlook import incentives, oracle
+from secondlook import incentives, oracle, sets
 from secondlook.patterns import (
     confirmation_verdict,
     polarization_routes,
@@ -56,18 +59,50 @@ def test_brute_force_voi_matches_reference(info, payoffs):
 
 
 def test_voi_oracle_is_independent_of_the_formulas_it_checks(monkeypatch, info, payoffs):
+    # The characterizations read the enumeration, never the closed forms that
+    # the definition side reads through ``patterns``.
+    assert not hasattr(oracle, "willingness_to_pay")
+    assert not hasattr(oracle, "extreme_sets")
+
     def closed_form(*args):
         raise AssertionError("the VOI oracle reached a closed-form formula")
 
+    monkeypatch.setattr(incentives, "willingness_to_pay", closed_form)
     for module in (incentives, oracle):
-        for name in ("willingness_to_pay", "case_thresholds"):
-            monkeypatch.setattr(module, name, closed_form)
+        monkeypatch.setattr(module, "case_thresholds", closed_form)
+    for name in ("extreme_sets", "h_set"):
+        monkeypatch.setattr(sets, name, closed_form)
     # The reference willingness: 1/45 (about 0.0222) and 22/115 (about 0.1913).
     for p, reference in ((0.7, 1 / 45), (0.3, 22 / 115)):
         assert brute_force_voi(p, info, payoffs, ALPHA) == pytest.approx(reference, abs=1e-12)
-        entries = outcome_table(p, info, payoffs, ALPHA).entries
-        gain = sum(e.joint * (e.utility_acquire - e.utility_skip) for e in entries)
-        assert gain == pytest.approx(reference, abs=1e-12)
+        alpha, _ = oracle._enumerated_willingness(np.array([p]), info, payoffs)
+        assert alpha.tolist() == pytest.approx([reference], abs=1e-12)
+
+
+@given(
+    priors=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+    theta1=st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
+    theta2=st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
+    payoffs=st.sampled_from([PayoffStructure(1.0, 0.0), PayoffStructure(2.0, 0.5)]),
+)
+def test_enumeration_on_rows_equals_scalar_voi_bit_for_bit(priors, theta1, theta2, payoffs):
+    # The grid checks' willingness is the scalar oracle's, also at the
+    # breakpoints: the case thresholds, the degenerate priors and 1/2.
+    info = InformationStructure(theta1, theta2)
+    points = priors + [*case_thresholds(info, ALPHA), *case_thresholds(info, BETA), 0.0, 0.5, 1.0]
+    rows = oracle._enumerated_willingness(np.array(points), info, payoffs)
+    for s1, row in zip((ALPHA, BETA), rows.tolist()):
+        assert [x.hex() for x in row] == [
+            brute_force_voi(p, info, payoffs, s1).hex() for p in points
+        ]
+
+
+def test_enumeration_is_exact_on_fractions():
+    # The same code on rationals: 22/115 at p = 3/10 and 1/45 at p = 7/10.
+    theta = (Fraction(3, 5), Fraction(4, 5))
+    for p, exact in ((Fraction(3, 10), Fraction(22, 115)), (Fraction(7, 10), Fraction(1, 45))):
+        gain = oracle._voi(p, *theta, 1, 0, ALPHA)
+        assert type(gain) is Fraction and gain == exact
 
 
 def test_brute_force_voi_zero_when_guess_never_flips(info, payoffs):
@@ -78,13 +113,6 @@ def test_brute_force_voi_zero_at_half_with_equal_precisions(payoffs):
     info = InformationStructure(0.7, 0.7)
     assert brute_force_voi(0.5, info, payoffs, ALPHA) == pytest.approx(0.0, abs=1e-15)
     assert willingness_to_pay(0.5, info, payoffs, ALPHA) == 0.0
-
-
-def test_outcome_table_is_a_distribution(info, payoffs):
-    table = outcome_table(0.3, info, payoffs, ALPHA)
-    assert len(table.entries) == 4
-    assert sum(e.joint for e in table.entries) == pytest.approx(1.0, abs=1e-12)
-    assert all(e.joint >= 0 for e in table.entries)
 
 
 def test_pattern_probability_underreaction_reference(info, payoffs):
@@ -260,19 +288,43 @@ def test_grid_checks_clean_on_small_grid(check):
 
 
 # Each dual-path check reads the willingness to pay of its characterization
-# side in ``oracle``: polarization in its feasibility arrays, the single-prior
-# checks directly.  The definition side reads it through ``patterns``.
+# side from the oracle's enumeration: polarization in its feasibility arrays,
+# the single-prior checks directly.  The definition side reads the closed form
+# through ``patterns``.  A perturbation of either side must show.
 @pytest.mark.parametrize(
     "check", ["confirmation", "disconfirmation", "polarization", "reaction"]
 )
 @pytest.mark.parametrize("offset", [0.0, 0.01])
 def test_grid_checker_catches_perturbed_willingness(monkeypatch, check, offset):
-    monkeypatch.setattr(
-        "secondlook.oracle.willingness_to_pay",
-        lambda *args: willingness_to_pay(*args) + offset,
-    )
+    core = oracle._voi
+    monkeypatch.setattr(oracle, "_voi", lambda *args: core(*args) + offset)
     violations = grid_theorem_check(check, priors=SMALL_GRID)
     assert (len(violations) > 0) == (offset != 0.0)
+
+
+@pytest.mark.parametrize(
+    "check, count",
+    [("confirmation", 6), ("disconfirmation", 6), ("polarization", 61), ("reaction", 6)],
+)
+def test_grid_checker_catches_perturbed_closed_form(monkeypatch, check, count):
+    monkeypatch.setattr(
+        "secondlook.patterns.willingness_to_pay",
+        lambda *args: willingness_to_pay(*args) + 0.01,
+    )
+    assert len(grid_theorem_check(check, priors=SMALL_GRID)) == count
+
+
+def test_degenerate_priors_agree_on_both_sides(info, payoffs):
+    # A prior of 0 or 1 never moves: a skip there is no pattern, and a pair
+    # with such a prior as the non-acquirer cannot polarize in order, so the
+    # closed form's in-order routes agree with the enumeration over signals.
+    edge = [0.0, 1e-7, 0.5, 1 - 1e-7, 1.0]
+    for check in ALL_CHECKS + EXTRA_CHECKS:
+        assert grid_theorem_check(check, priors=edge) == [], check
+    for p_i, p_j in ((0.3, 1.0), (0.5, 1.0), (0.0, 0.5)):
+        assert polarization_probability(0.5, p_i, p_j, info, payoffs, 0.1) == pattern_probability(
+            "PB", 0.5, p_i, info, payoffs, 0.1, p_j=p_j
+        )
 
 
 def test_grid_checks_evaluate_cost_ties(monkeypatch):
@@ -349,21 +401,20 @@ AGREEMENT_COSTS = [0.0, 0.01, 0.05, 0.1, 0.15, 0.25, 0.3]
 )
 @pytest.mark.parametrize("theta", AGREEMENT_THETAS, ids=str)
 def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
-    # ``==``, not approx: the block values come from the oracle's willingness
-    # and from ``realized_rows``, whose beliefs are the scalar posteriors'
-    # updating step on rows, and go through the same pair laws, so blocks and
-    # scalar calls agree bit for bit.  A cap of 12 cells splits the 31-prior
+    # ``==``, not approx: the block values come from the closed-form
+    # willingness and from ``realized_rows``, whose beliefs are the scalar
+    # posteriors' updating step on rows, and go through the same pair laws, so
+    # blocks and scalar calls agree bit for bit.  A cap of 12 cells splits the 31-prior
     # triangle into single rows wider than the cap and runs of several rows.
     monkeypatch.setattr(oracle, "_PAIR_BLOCK", 12)
     info = InformationStructure(*theta)
     grid = default_prior_grid(31).tolist()
-    keep = [
-        (p, {s1: willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)})
-        for p in grid
-    ]
+    wtp = np.array(
+        [[willingness_to_pay(p, info, payoffs, s1) for p in grid] for s1 in (ALPHA, BETA)]
+    )
     for cost in AGREEMENT_COSTS:
         seen, mirrored = [], []
-        rows = oracle._slice_rows(keep, info, payoffs, cost)
+        rows = oracle._slice_rows(grid, wtp, info, payoffs, cost)
         for a, b, in_triangle, low, high in oracle._pair_blocks(rows):
             p_i, wtp_i, post_i, acq_i, cross_i = low
             p_j, wtp_j, post_j, acq_j, cross_j = high
@@ -414,7 +465,7 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
                     for o in scalar
                 ]
         assert seen == list(itertools.combinations(grid, 2))
-        assert list(oracle._mirrored(keep, info, payoffs, cost)) == mirrored
+        assert list(oracle._mirrored(grid, wtp, cost)) == mirrored
 
 
 @pytest.mark.parametrize(
@@ -485,9 +536,8 @@ def test_single_prior_lists_keep_prior_and_signal_order(monkeypatch, check, case
         thetas = ((0.8, 0.8000000000000002), (0.8000000000000002, 0.8))
     else:
         offset = 0.003 if case == "offset +0.003" else -0.003
-        monkeypatch.setattr(
-            oracle, "willingness_to_pay", lambda *args: willingness_to_pay(*args) + offset
-        )
+        core = oracle._voi
+        monkeypatch.setattr(oracle, "_voi", lambda *args: core(*args) + offset)
     violations = grid_theorem_check(check, priors=default_prior_grid(61), thetas=thetas)
     digest = hashlib.sha256(repr(violations).encode()).hexdigest()
     assert (len(violations), digest) == SINGLE_PRIOR_LISTS[check, case]

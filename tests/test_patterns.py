@@ -281,11 +281,14 @@ def test_all_routes_probability_bound_sampled(payoffs):
 
 
 def _in_order_partners(p, structure, payoffs, c, grid):
-    """Grid priors that share an in-order B set with ``p`` at the cost.
+    """Interior grid priors that share an in-order B set with ``p`` at the cost.
 
     The lower of the two alone acquires after alpha, or the higher alone
-    after beta; returns the candidates below ``p`` and those above it.
+    after beta; returns the candidates below ``p`` and those above it.  The
+    priors 0 and 1 are left out: their beliefs never move, so they polarize
+    with nothing (``_assert_endpoints_never_polarize``).
     """
+    grid = grid[(0.0 < grid) & (grid < 1.0)]
     wtp = np.array(
         [[willingness_to_pay(float(q), structure, payoffs, s1) for q in grid] for s1 in (ALPHA, BETA)]
     )
@@ -298,15 +301,24 @@ def _in_order_partners(p, structure, payoffs, c, grid):
     return in_order_below, in_order_above
 
 
+def _assert_endpoints_never_polarize(p, structure, payoffs, c):
+    # At a positive cost the priors 0 and 1 never acquire, and their beliefs
+    # never move, so no route opens against them.
+    assert not polarization_feasible(0.0, p, structure, payoffs, c), p
+    assert not polarization_feasible(p, 1.0, structure, payoffs, c), p
+
+
 def test_polarization_partners_inside_acquisition_interval(info, payoffs):
     # 0.3 acquires after alpha at 0.1 and every prior from the upper end of
-    # H_alpha(0.1) up to 1 skips, so each polarizes against 0.3 in order.
+    # H_alpha(0.1) up to 1 skips, so each below 1 polarizes against 0.3 in
+    # order; 1 itself skips but its belief never moves.
     h_alpha = h_set(0.1, info, payoffs, ALPHA)
     assert 0.3 in h_alpha
-    for q in np.linspace(h_alpha.upper, 1.0, 21):
+    for q in np.linspace(h_alpha.upper, 1.0, 21)[:-1]:
         feas = polarization_feasible(0.3, float(q), info, payoffs, 0.1)
         assert feas.via_alpha, q
     assert polarization_feasible(0.3, 0.7, info, payoffs, 0.1)
+    _assert_endpoints_never_polarize(0.3, info, payoffs, 0.1)
 
 
 def test_polarization_partners_upper_flank(info, payoffs):
@@ -350,6 +362,7 @@ def test_polarization_partners_nonempty_across_interior(payoffs):
                     pair = p, float(above[0])
                 feas = polarization_feasible(*pair, structure, payoffs, c)
                 assert feas.via_alpha or feas.via_beta, (thetas, c, pair)
+                _assert_endpoints_never_polarize(p, structure, payoffs, c)
 
 
 def test_polarization_partners_sampled_pairs_feasible(info, payoffs):
@@ -363,6 +376,7 @@ def test_polarization_partners_sampled_pairs_feasible(info, payoffs):
             assert polarization_feasible(float(q), p_i, info, payoffs, 0.1), (q, p_i)
         for q in above:
             assert polarization_feasible(p_i, float(q), info, payoffs, 0.1), (p_i, q)
+        _assert_endpoints_never_polarize(p_i, info, payoffs, 0.1)
 
 
 def test_weak_acquisition_decides_next_to_the_open_h_set_ends(payoffs):
