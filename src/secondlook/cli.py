@@ -51,6 +51,7 @@ from .model import (
     InformationStructure,
     Signal,
     SignalComponentValue,
+    check_count,
     _marginal,
     _posterior,
     posterior_after_both,
@@ -138,6 +139,14 @@ def _parse_flag(key: str, text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _draw_count(text: str) -> int:
+    """``--draws``, by the sampler's rule, so a bad count fails before any command runs."""
+    try:
+        return check_count(int(text), "draws", 1)
+    except ValueError:  # int's, or check_count's ParameterError
+        raise argparse.ArgumentTypeError(f"draws must be an integer >= 1, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="secondlook", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"secondlook {__version__}")
@@ -163,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name in ("simulate", "verify"):
             cmd.add_argument(
-                "--draws", type=int, default=100_000, help="Monte Carlo sample size"
+                "--draws", type=_draw_count, default=100_000, help="Monte Carlo sample size"
             )
     return parser
 

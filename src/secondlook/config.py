@@ -159,9 +159,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # drops a byte-order mark
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", source=str(path)) from exc
     return parse_config(text, source=str(path))
 

@@ -241,13 +241,10 @@ def signal_law(
     if law not in ("coupled", "product"):
         raise ParameterError(f"unknown signal law {law!r}; expected 'coupled' or 'product'")
     components = (ALPHA, BETA)  # ALL_SIGNALS order: first component outer, second inner
-
-    def second_law(belief):
-        return [conditional_second(belief, info, s2) for s2 in components]
-
-    firsts = [marginal_first(p, info, s1) for s1 in components]
-    if law == "product":  # one second-component law at p, shared by both first components
-        seconds = [second_law(p)] * 2
-    else:
-        seconds = [second_law(posterior_after_first(p, info, s1)) for s1 in components]
-    return tuple(first * second for first, row in zip(firsts, seconds) for second in row)
+    firsts = [_marginal(p, info.theta1, s1) for s1 in components]
+    beliefs = [p, p] if law == "product" else [_posterior(p, info, s1) for s1 in components]
+    return tuple(
+        first * _marginal(belief, info.theta2, s2)
+        for first, belief in zip(firsts, beliefs)
+        for s2 in components
+    )

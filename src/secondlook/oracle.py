@@ -22,6 +22,7 @@ inversion threshold are skipped.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ from .model import (
 from .patterns import (
     confirmation_report,
     confirmation_verdict,
-    disconfirmation_report,
+    disconfirmation_verdict,
     pairwise_outcome,
     polarization_routes,
     polarization_verdict,
@@ -333,23 +334,21 @@ def _near(x: float, values) -> bool:
 # then after beta), and yields ``(params, detail)`` per violation;
 # ``grid_theorem_check`` prefixes theta1, theta2 and cost to the params.
 #
-# The four pairwise claims walk the pair triangle one way, ``_pair_blocks``:
-# per-prior rows, built once per slice, compared in 2-D blocks of whole rows
-# (low priors by all later priors, masked to ``j > i``) of at most
-# ``_PAIR_BLOCK`` cells, or one row when a row alone is wider, so memory is
-# O(block).  ``np.nonzero`` reads a block in row-major order, so violations
-# come in ``combinations`` order, then in signal order.  ``polarization`` and
-# ``one_sided_updating`` compare ``_slice_rows`` through the pair laws the
-# scalar API applies to one pair (``b_memberships``, ``polarization_verdict``,
-# ``polarization_routes``).  The mirrored claims select their pairs on blocks
-# of willingness and evaluate each with ``pairwise_outcome``.
+# The five row claims read one row builder, ``_rows``, once per slice, and
+# compare its rows through the verdicts and pair laws the scalar API applies
+# to one prior or pair.  ``disconfirmation``, ``confirmation`` and
+# ``reaction`` read ``np.nonzero`` on the transpose of their verdict rows, so
+# violations come in prior order, then tendency before exhibits or in signal
+# order.
 #
-# ``confirmation`` and ``reaction`` compare ``_single_rows``, also built once
-# per slice from ``realized_rows``, through the verdicts the scalar reports
-# read on one prior (``confirmation_verdict``, ``reaction_verdict``), against
-# a characterization from the enumerated willingness; ``np.nonzero`` on the
-# (prior, signal) transpose lists violations in prior, then signal order.
-# ``disconfirmation`` reads that willingness one prior at a time.
+# The four pairwise claims walk the pair triangle one way, ``_pair_blocks``:
+# per-prior rows compared in 2-D blocks of whole rows (low priors by all later
+# priors, masked to ``j > i``) of at most ``_PAIR_BLOCK`` cells, or one row
+# when a row alone is wider, so memory is O(block).  ``np.nonzero`` reads a
+# block in row-major order, so violations come in ``combinations`` order, then
+# in signal order.  ``polarization`` and ``one_sided_updating`` block
+# ``_rows``; the mirrored claims select their pairs on blocks of willingness
+# and evaluate each with ``pairwise_outcome``.
 
 #: Pair cells per block of the pair triangle.
 _PAIR_BLOCK = 1 << 16
@@ -365,12 +364,16 @@ def _enumerated_willingness(p, info, payoffs):
     return np.where(gain > 0.0, gain, 0.0)
 
 
-def _slice_rows(priors, wtp, info, payoffs, cost):
-    # Per kept prior: prior and the enumerated willingness (alpha, beta) for
-    # the characterization; from ``realized_rows``, the realized belief and
-    # acquisition at each signal of ALL_SIGNALS and the crossing posteriors.
+_Rows = namedtuple("_Rows", "p wtp skips belief acquires crossing full closed_wtp")
+
+
+def _rows(priors, wtp, info, payoffs, cost):
+    # Per kept prior, on the last axis: the prior, the enumerated willingness
+    # and, per signal, whether the prior skips by it, counted only inside
+    # (0, 1), since a belief at 0 or 1 never moves; then ``realized_rows``.
     p = np.array(priors)
-    return (p, wtp, *realized_rows(p, info, payoffs, cost)[:3])
+    skips = cost > wtp[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]
+    return _Rows(p, wtp, skips & (0.0 < p) & (p < 1.0), *realized_rows(p, info, payoffs, cost))
 
 
 def _triangle_blocks(n):
@@ -397,9 +400,10 @@ def _pair_blocks(arrays):
 
 def _polarization(priors, wtp, info, payoffs, cost):
     more_informative = info.theta2 > info.theta1
-    blocks = _pair_blocks(_slice_rows(priors, wtp, info, payoffs, cost))
+    rows = _rows(priors, wtp, info, payoffs, cost)
+    blocks = _pair_blocks((rows.p, rows.wtp, rows.belief, rows.crossing))
     for a, b, in_triangle, low, high in blocks:
-        (p_i, wtp_i, post_i, _, cross_i), (p_j, wtp_j, post_j, _, cross_j) = low, high
+        (p_i, wtp_i, post_i, cross_i), (p_j, wtp_j, post_j, cross_j) = low, high
         polarized = polarization_verdict(p_i, p_j, post_i, post_j)[2].any(axis=0)
         one_sided = b_memberships(wtp_i, wtp_j, cost)
         crossing = (cross_i[0], cross_j[1], cross_i[2], cross_j[3])
@@ -412,9 +416,9 @@ def _polarization(priors, wtp, info, payoffs, cost):
 
 
 def _one_sided_updating(priors, wtp, info, payoffs, cost):
-    blocks = _pair_blocks(_slice_rows(priors, wtp, info, payoffs, cost))
-    for a, b, in_triangle, low, high in blocks:
-        (p_i, _, post_i, acq_i, _), (p_j, _, post_j, acq_j, _) = low, high
+    rows = _rows(priors, wtp, info, payoffs, cost)
+    for a, b, in_triangle, low, high in _pair_blocks((rows.p, rows.belief, rows.acquires)):
+        (p_i, post_i, acq_i), (p_j, post_j, acq_j) = low, high
         inversion = polarization_verdict(p_i, p_j, post_i, post_j)[1]
         opposite = in_triangle & (acq_i == acq_j) & (inversion < 0.0)
         # Signals moved last: pairs in order, signals in ALL_SIGNALS order.
@@ -465,68 +469,55 @@ def _mirrored_no_divergence(priors, wtp, info, payoffs, cost):
 
 
 def _disconfirmation(priors, wtp, info, payoffs, cost):
-    for p, wtp_alpha, wtp_beta in zip(priors, *wtp.tolist()):
-        report = disconfirmation_report(p, info, payoffs, cost)
-        # Tendency: the prior is not extreme, that is, a second look is worth
-        # something after at least one first component.
-        char_tendency = p != 0.5 and (wtp_alpha > 0.0 or wtp_beta > 0.0)
-        # Exhibits: acquires after the component contradicting the favored
-        # state and skips after the supporting one.
-        contrary, supportive = (wtp_beta, wtp_alpha) if p > 0.5 else (wtp_alpha, wtp_beta)
-        char_exhibits = p != 0.5 and contrary >= cost > supportive
-        if report.tendency != char_tendency:
-            yield (("p", p),), (
-                f"tendency={report.tendency} vs characterization={char_tendency}"
-            )
-        if report.exhibits != char_exhibits:
-            yield (("p", p),), (
-                f"exhibits={report.exhibits} vs characterization={char_exhibits}"
-            )
+    rows = _rows(priors, wtp, info, payoffs, cost)
+    verdict = disconfirmation_verdict(rows.p, *rows.closed_wtp, cost)
+    # Tendency: the prior favors a state and is not extreme, that is, a second
+    # look is worth something after at least one first component.
+    favored = rows.p != 0.5
+    char_tendency = favored & ((wtp[0] > 0.0) | (wtp[1] > 0.0))
+    # Exhibits: acquires after the component contradicting the favored state
+    # and skips after the supporting one.
+    contrary, supportive = np.where(rows.p > 0.5, wtp[::-1], wtp)
+    characterization = (char_tendency, favored & (contrary >= cost) & (cost > supportive))
+    for k, n in zip(*np.nonzero(np.not_equal(verdict, characterization).T)):
+        yield (("p", priors[k]),), (
+            f"{('tendency', 'exhibits')[n]}={bool(verdict[n][k])} "
+            f"vs characterization={bool(characterization[n][k])}"
+        )
 
 
-def _single_rows(priors, wtp, info, payoffs, cost):
-    # Per kept prior: prior and, per signal of ALL_SIGNALS, whether the prior
-    # skips after its first component by the enumerated willingness, counted
-    # only inside (0, 1), since a belief at 0 or 1 never moves; from
-    # ``realized_rows``, the realized belief and the full posterior.
-    p = np.array(priors)
-    skips = cost > wtp[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]
-    belief, _, _, full = realized_rows(p, info, payoffs, cost)
-    return p, skips & (0.0 < p) & (p < 1.0), belief, full
+def _signal_violations(priors, names, verdict, characterization):
+    # One violation per (prior, signal) where either verdict row differs from
+    # its characterization, in prior, then signal order.
+    flagged = (verdict[0] != characterization[0]) | (verdict[1] != characterization[1])
+    for k, s in zip(*np.nonzero(flagged.T)):
+        got, expected = (
+            ", ".join(str(bool(row[s, k])) for row in rows) for rows in (verdict, characterization)
+        )
+        yield (("p", priors[k]), ("signal", ALL_SIGNALS[s].label())), (
+            f"({names})=({got}) vs characterization ({expected})"
+        )
 
 
 def _confirmation(priors, wtp, info, payoffs, cost):
-    favored = [k for k, p in enumerate(priors) if p != 0.5]  # no favored state at 1/2
-    priors = [priors[k] for k in favored]
-    p, skips, belief, full = _single_rows(priors, wtp[:, favored], info, payoffs, cost)
-    confirmatory, disproving = confirmation_verdict(p, belief, full)
+    rows = _rows(priors, wtp, info, payoffs, cost)
+    verdict = confirmation_verdict(rows.p, rows.belief, rows.full)
     # The contrary pattern is (alpha, beta) above 1/2 and (beta, alpha) below;
-    # the supportive one is the other.
-    theta_up = info.theta2 > info.theta1
-    high, neither = p > 0.5, np.zeros(len(priors), dtype=bool)
-    char_cb = theta_up & skips & np.array([neither, high, ~high, neither])
-    char_db = theta_up & skips & np.array([neither, ~high, high, neither])
-    flagged = (confirmatory != char_cb) | (disproving != char_db)
-    for k, s in zip(*np.nonzero(flagged.T)):
-        yield (("p", priors[k]), ("signal", ALL_SIGNALS[s].label())), (
-            f"(CB, DB)=({bool(confirmatory[s, k])}, {bool(disproving[s, k])}) "
-            f"vs characterization ({bool(char_cb[s, k])}, {bool(char_db[s, k])})"
-        )
+    # the supportive one is the other.  At 1/2 no state is favored.
+    skips = (info.theta2 > info.theta1) & rows.skips
+    high, low, neither = rows.p > 0.5, rows.p < 0.5, np.zeros(len(priors), dtype=bool)
+    char_cb = skips & np.array([neither, high, low, neither])
+    char_db = skips & np.array([neither, low, high, neither])
+    yield from _signal_violations(priors, "CB, DB", verdict, (char_cb, char_db))
 
 
 def _reaction(priors, wtp, info, payoffs, cost):
-    p, skips, belief, full = _single_rows(priors, wtp, info, payoffs, cost)
-    under, over = reaction_verdict(p, belief, full)
-    theta_down = info.theta2 < info.theta1
+    rows = _rows(priors, wtp, info, payoffs, cost)
+    verdict = reaction_verdict(rows.p, rows.belief, rows.full)
     agreeing = np.array([[s.first is s.second] for s in ALL_SIGNALS])
-    char_ur = skips & agreeing
-    char_or = skips & ~agreeing & theta_down
-    flagged = (under != char_ur) | (over != char_or)
-    for k, s in zip(*np.nonzero(flagged.T)):
-        yield (("p", priors[k]), ("signal", ALL_SIGNALS[s].label())), (
-            f"(UR, OR)=({bool(under[s, k])}, {bool(over[s, k])}) "
-            f"vs characterization ({bool(char_ur[s, k])}, {bool(char_or[s, k])})"
-        )
+    char_ur = rows.skips & agreeing
+    char_or = rows.skips & ~agreeing & (info.theta2 < info.theta1)
+    yield from _signal_violations(priors, "UR, OR", verdict, (char_ur, char_or))
 
 
 _CLAIMS = {

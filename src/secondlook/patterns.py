@@ -20,12 +20,13 @@ benchmark for a single one, produces the patterns this module quantifies:
 
 Pairwise feasibility and probability take the asymmetric-acquisition sets
 from :mod:`secondlook.sets` as inputs.  The pair outcome, the four
-feasibility routes and the two single-prior verdicts are each stated once,
+feasibility routes and the three single-prior verdicts are each stated once,
 in :func:`polarization_verdict`, :func:`polarization_routes`,
-:func:`confirmation_verdict` and :func:`reaction_verdict`, with operators
-that work on floats and numpy rows alike: the scalar API feeds them one
-validated pair or prior, the grid checks of :mod:`secondlook.oracle` rows
-and blocks of pairs built from :func:`realized_rows`.
+:func:`disconfirmation_verdict`, :func:`confirmation_verdict` and
+:func:`reaction_verdict`, with operators that work on floats and numpy rows
+alike: the scalar API feeds them one validated pair or prior, the grid
+checks of :mod:`secondlook.oracle` rows and blocks of pairs built from
+:func:`realized_rows`.
 The probability formula reads the product :func:`secondlook.model.signal_law`
 at a caller-supplied subjective prior; that prior is deliberately never
 defaulted, because nothing in the model pins it down.
@@ -46,8 +47,6 @@ from .model import (
     Signal,
     check_cost,
     check_probability,
-    posterior_after_both,
-    posterior_after_first,
     signal_law,
     _posterior,
 )
@@ -69,41 +68,36 @@ def realized_posterior(
     p = check_probability(p)
     cost = check_cost(cost)
     if cost <= willingness_to_pay(p, info, payoffs, signal.first):  # ties acquire
-        return (
-            posterior_after_both(p, info, signal.first, signal.second),
-            AcquisitionAction.ACQUIRE,
-        )
-    return posterior_after_first(p, info, signal.first), AcquisitionAction.SKIP
+        return _posterior(p, info, signal.first, signal.second), AcquisitionAction.ACQUIRE
+    return _posterior(p, info, signal.first), AcquisitionAction.SKIP
 
 
 def realized_rows(p, info: InformationStructure, payoffs: PayoffStructure, cost: float):
     """:func:`realized_posterior`, the crossing and the full posteriors of a numpy row of priors.
 
-    Returns ``(belief, acquires, crossing, full)``, each four rows with priors
-    along the last axis: the realized belief and whether it acquires, one row
-    per signal of ``ALL_SIGNALS``; the four posteriors of
+    Returns ``(belief, acquires, crossing, full, wtp)``, with priors along the
+    last axis: the realized belief and whether it acquires, one row per
+    signal of ``ALL_SIGNALS``; the four posteriors of
     :func:`polarization_routes`' ``crossing`` (the interim and full belief at
-    (alpha, beta), then the full and interim belief at (beta, alpha)); and
-    the full posterior at each signal of ``ALL_SIGNALS``.  Each prior's
-    willingness comes from :func:`willingness_to_pay`, which validates it;
-    the beliefs come from the updating step of the scalar posteriors, so
-    every value equals the scalar API's bit for bit.
+    (alpha, beta), then the full and interim belief at (beta, alpha)); the
+    full posterior at each signal of ``ALL_SIGNALS``; and the two rows of
+    :func:`willingness_to_pay`, after alpha then after beta, which validates
+    each prior.  The beliefs come from the updating step of the scalar
+    posteriors, so every value equals the scalar API's bit for bit.
     """
     import numpy as np  # only the grid checks build rows
 
     cost = check_cost(cost)
-    priors = p.tolist()
-    acquires_after = {  # ties acquire, as in realized_posterior
-        s1: cost <= np.array([willingness_to_pay(x, info, payoffs, s1) for x in priors])
-        for s1 in (ALPHA, BETA)
-    }
+    wtp = np.array(
+        [[willingness_to_pay(x, info, payoffs, s1) for x in p.tolist()] for s1 in (ALPHA, BETA)]
+    )
+    acquires = cost <= wtp[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]  # ties acquire
     interim = {s1: _posterior(p, info, s1) for s1 in (ALPHA, BETA)}
     full = np.array([_posterior(p, info, s.first, s.second) for s in ALL_SIGNALS])
-    acquires = np.array([acquires_after[s.first] for s in ALL_SIGNALS])
     belief = np.where(acquires, full, [interim[s.first] for s in ALL_SIGNALS])
     # ALL_SIGNALS[1] is (alpha, beta) and ALL_SIGNALS[2] is (beta, alpha).
     crossing = np.array([interim[ALPHA], full[1], full[2], interim[BETA]])
-    return belief, acquires, crossing, full
+    return belief, acquires, crossing, full, wtp
 
 
 @dataclass(frozen=True)
@@ -229,10 +223,10 @@ def polarization_feasible(
     )
     one_sided = v_memberships(wtp_i, wtp_j) if c is None else b_memberships(wtp_i, wtp_j, c)
     crossing = (
-        posterior_after_first(p_i, info, ALPHA),
-        posterior_after_both(p_j, info, ALPHA, BETA),
-        posterior_after_both(p_i, info, BETA, ALPHA),
-        posterior_after_first(p_j, info, BETA),
+        _posterior(p_i, info, ALPHA),
+        _posterior(p_j, info, ALPHA, BETA),
+        _posterior(p_i, info, BETA, ALPHA),
+        _posterior(p_j, info, BETA),
     )
     routes = polarization_routes(theta_ok, p_i, p_j, one_sided, crossing)
     return PolarizationFeasibility(any(routes), *routes)
@@ -272,6 +266,22 @@ class DisconfirmationReport:
     wtp_beta: float
 
 
+def disconfirmation_verdict(p, wtp_alpha, wtp_beta, cost):
+    """Tendency and exhibits, from the prior, its two willingness values and the cost.
+
+    Above 1/2 beta is the contrary evidence, below 1/2 alpha, and at 1/2
+    neither holds.  The tendency: the contrary willingness strictly exceeds
+    the supportive one.  Exhibited: the cost separates the two acquisition
+    decisions that way; ties acquire, so a cost equal to the contrary
+    willingness still exhibits.  Floats give bools; numpy rows give rows.
+    """
+    above, below = p > 0.5, p < 0.5
+    tendency = above & (wtp_beta > wtp_alpha) | below & (wtp_alpha > wtp_beta)
+    after_beta_only = (wtp_alpha < cost) & (cost <= wtp_beta)
+    after_alpha_only = (wtp_beta < cost) & (cost <= wtp_alpha)
+    return tendency, above & after_beta_only | below & after_alpha_only
+
+
 def disconfirmation_report(
     p: float,
     info: InformationStructure,
@@ -280,23 +290,14 @@ def disconfirmation_report(
 ) -> DisconfirmationReport:
     """Willingness and acquisition asymmetry across the two first components.
 
-    A prior above 1/2 favors A, so beta is the contrary evidence; the
-    tendency holds when the willingness to pay after beta strictly exceeds
-    the one after alpha, and it is exhibited when the cost separates the two
-    acquisition decisions in that direction.  The prior exactly at 1/2
-    favors neither state and reports false on both counts.
+    :func:`disconfirmation_verdict` on the prior's two willingness values; the
+    prior exactly at 1/2 favors neither state and reports false on both counts.
     """
     p = check_probability(p)
     cost = check_cost(cost)
     wtp_a = willingness_to_pay(p, info, payoffs, ALPHA)
     wtp_b = willingness_to_pay(p, info, payoffs, BETA)
-    contrary, supportive = (wtp_b, wtp_a) if p > 0.5 else (wtp_a, wtp_b)
-    # Ties acquire, so a cost equal to the contrary willingness still exhibits.
-    tendency = p != 0.5 and contrary > supportive
-    exhibits = p != 0.5 and supportive < cost <= contrary
-    return DisconfirmationReport(
-        tendency=tendency, exhibits=exhibits, wtp_alpha=wtp_a, wtp_beta=wtp_b
-    )
+    return DisconfirmationReport(*disconfirmation_verdict(p, wtp_a, wtp_b, cost), wtp_a, wtp_b)
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def confirmation_report(
             "confirmatory/disproving patterns need a favored state; p=1/2 has none"
         )
     realized, action = realized_posterior(p, info, payoffs, cost, signal)
-    full = posterior_after_both(p, info, signal.first, signal.second)
+    full = _posterior(p, info, signal.first, signal.second)
     confirmatory, disproving = confirmation_verdict(p, realized, full)
     return ConfirmationReport(
         confirmatory=confirmatory,
@@ -393,7 +394,7 @@ def reaction_report(
     """
     p = check_probability(p)
     realized, _ = realized_posterior(p, info, payoffs, cost, signal)
-    full = posterior_after_both(p, info, signal.first, signal.second)
+    full = _posterior(p, info, signal.first, signal.second)
     under, over = reaction_verdict(p, realized, full)
     return ReactionReport(
         underreaction=under,

@@ -530,6 +530,24 @@ def test_usage_error_exits_one(capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--grid", "401", "--draws", "0"),
+        ("verify", "--draws", "-3", "--subjective-p", "none"),
+    ],
+    ids=["before-the-grid-checks", "when-nothing-samples"],
+)
+def test_draw_count_below_one_is_a_usage_error(capsys, args):
+    # Checked as it is parsed: no command runs, not even one that never samples.
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(args))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 1
+    assert captured.out == ""
+    assert "argument --draws" in captured.err
+
+
 def test_polarize_requires_subjective_prior(tmp_path, capsys):
     config = tmp_path / "nosubj.cfg"
     config.write_text("subjective_p = none\n", encoding="utf-8")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from secondlook import ConfigError, DEFAULT_CONFIG, RunConfig, parse_config
+from secondlook import ConfigError, DEFAULT_CONFIG, RunConfig, load_config, parse_config
 from secondlook.config import (
     _format_value,
     _json_cell,
@@ -38,6 +38,24 @@ def test_parse_sample_config():
     assert config.grid == 101
     assert config.costs is None
     assert config.cost_list() == (0.1,)
+
+
+@pytest.mark.parametrize(
+    "encoded",
+    [b"\xef\xbb\xbf" + SAMPLE.encode(), SAMPLE.replace("\n", "\r\n").encode()],
+    ids=["byte-order-mark", "crlf"],
+)
+def test_config_file_with_bom_or_crlf_parses(tmp_path, encoded):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(encoded)
+    assert load_config(path) == parse_config(SAMPLE, source="sample.cfg")
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("theta1 = 0.6  # café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)
 
 
 def test_defaults_are_the_reference_scenario():

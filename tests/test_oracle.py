@@ -28,6 +28,7 @@ from secondlook import (
     classify_pair,
     confirmation_report,
     default_prior_grid,
+    disconfirmation_report,
     grid_theorem_check,
     marginal_first,
     mc_pattern_frequency,
@@ -41,6 +42,7 @@ from secondlook import (
 from secondlook import incentives, oracle, sets
 from secondlook.patterns import (
     confirmation_verdict,
+    disconfirmation_verdict,
     polarization_routes,
     polarization_verdict,
     reaction_verdict,
@@ -327,6 +329,19 @@ def test_degenerate_priors_agree_on_both_sides(info, payoffs):
         )
 
 
+def test_single_prior_claims_call_no_scalar_report(monkeypatch):
+    # The three single-prior claims compare verdict rows, never a report per prior.
+    assert not hasattr(oracle, "disconfirmation_report")
+
+    def scalar(*args):
+        raise AssertionError("a grid claim called a scalar report")
+
+    for name in ("confirmation_report", "reaction_report"):
+        monkeypatch.setattr(oracle, name, scalar)
+    for check in ("disconfirmation", "confirmation", "reaction"):
+        assert grid_theorem_check(check, priors=SMALL_GRID) == []
+
+
 def test_grid_checks_evaluate_cost_ties(monkeypatch):
     # The extreme priors are willing to pay 0, exactly the cost: a tie, which
     # acquires, is evaluated like any other point.
@@ -414,8 +429,9 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
     )
     for cost in AGREEMENT_COSTS:
         seen, mirrored = [], []
-        rows = oracle._slice_rows(grid, wtp, info, payoffs, cost)
-        for a, b, in_triangle, low, high in oracle._pair_blocks(rows):
+        rows = oracle._rows(grid, wtp, info, payoffs, cost)
+        blocks = oracle._pair_blocks((rows.p, rows.wtp, rows.belief, rows.acquires, rows.crossing))
+        for a, b, in_triangle, low, high in blocks:
             p_i, wtp_i, post_i, acq_i, cross_i = low
             p_j, wtp_j, post_j, acq_j, cross_j = high
             outcome = polarization_verdict(p_i, p_j, post_i, post_j)
@@ -473,17 +489,25 @@ def test_pair_arrays_match_scalar_api_exactly(monkeypatch, theta, payoffs):
 )
 @pytest.mark.parametrize("theta", AGREEMENT_THETAS + [(0.8, 0.8000000000000002)], ids=str)
 def test_verdict_rows_match_scalar_reports_exactly(theta, payoffs):
-    # ``==``, not approx: the rows ``confirmation`` and ``reaction`` compare are
-    # the two verdicts on ``realized_rows``, and the scalar reports read the
-    # same verdicts on the scalar posteriors.  The near-equal precisions put
-    # realized and full posteriors on neighbouring doubles, where the order is
-    # decided by round-off; both paths must decide it the same way.
+    # ``==``, not approx: the rows ``disconfirmation``, ``confirmation`` and
+    # ``reaction`` compare are the three verdicts on ``realized_rows``, and the
+    # scalar reports read the same verdicts on the scalar willingness and
+    # posteriors.  The near-equal precisions put realized and full posteriors
+    # on neighbouring doubles, where the order is decided by round-off; both
+    # paths must decide it the same way.
     info = InformationStructure(*theta)
     priors = default_prior_grid(31).tolist() + [0.0, 1e-7, 1.0]
     row = np.array(priors)
     favored = [k for k, p in enumerate(priors) if p != 0.5]
     for cost in AGREEMENT_COSTS:
-        belief, _, _, full = realized_rows(row, info, payoffs, cost)
+        belief, _, _, full, wtp = realized_rows(row, info, payoffs, cost)
+        tendency, exhibits = disconfirmation_verdict(row, *wtp, cost)
+        reports = [disconfirmation_report(p, info, payoffs, cost) for p in priors]
+        assert [tendency.tolist(), exhibits.tolist()] == [
+            [r.tendency for r in reports],
+            [r.exhibits for r in reports],
+        ]
+        assert wtp.tolist() == [[r.wtp_alpha for r in reports], [r.wtp_beta for r in reports]]
         confirmatory, disproving = confirmation_verdict(row, belief, full)
         under, over = reaction_verdict(row, belief, full)
         for s, signal in enumerate(ALL_SIGNALS):
@@ -502,8 +526,8 @@ def test_verdict_rows_match_scalar_reports_exactly(theta, payoffs):
 
 
 # (count, SHA-256 of repr) of the single-prior lists at grid 61, recorded from
-# the loops that made one scalar report call per (prior, signal): with the
-# characterization's willingness offset both ways, and at near-equal
+# the loops that made one scalar report call per prior or (prior, signal):
+# with the characterization's willingness offset both ways, and at near-equal
 # precisions, where the verdicts' strict orders meet round-off.
 SINGLE_PRIOR_LISTS = {
     ("confirmation", "offset +0.003"): (
@@ -523,6 +547,12 @@ SINGLE_PRIOR_LISTS = {
     ),
     ("reaction", "near-equal precisions"): (
         46, "4278636b63066def062e11859f811373c88be1b6d2e7fcd8e63646b6c7f92f7f"
+    ),
+    ("disconfirmation", "offset +0.003"): (
+        218, "5e41bb7ec491f7f26c69925ad5387a17182166c465b8ad0f4771bf06e7cb1b84"
+    ),
+    ("disconfirmation", "offset -0.003"): (
+        12, "99a2b767659a6961235f92c737a5faa91eaf010d57387d617e0c889d3a7446b5"
     ),
 }
 

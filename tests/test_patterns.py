@@ -607,7 +607,10 @@ def test_realized_rows_equal_the_scalar_api_bit_for_bit(
         assert hexes(_posterior(row, info, signal.first, signal.second)) == hexes(
             posterior_after_both(p, info, signal.first, signal.second) for p in priors
         )
-    belief, acquires, crossing, full = realized_rows(row, info, payoffs, cost)
+    belief, acquires, crossing, full, wtp = realized_rows(row, info, payoffs, cost)
+    assert [hexes(x) for x in wtp] == [
+        hexes(willingness_to_pay(p, info, payoffs, s1) for p in priors) for s1 in (ALPHA, BETA)
+    ]
     for s, signal in enumerate(ALL_SIGNALS):
         scalar = [realized_posterior(p, info, payoffs, cost, signal) for p in priors]
         assert hexes(belief[s]) == hexes(post for post, _ in scalar)
