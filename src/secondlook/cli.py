@@ -21,8 +21,6 @@ import os
 import stat
 import sys
 import time
-from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import fields, replace
 from functools import partial
 from itertools import repeat
@@ -39,8 +37,8 @@ from .config import (
 )
 from .errors import ConfigError, ModelError
 from .incentives import (
+    _case,
     case_interval,
-    classify_case,
     max_willingness_to_pay,
     willingness_to_pay,
 )
@@ -50,7 +48,6 @@ from .model import (
     BETA,
     InformationStructure,
     Signal,
-    SignalComponentValue,
     check_count,
     _marginal,
     _posterior,
@@ -212,37 +209,16 @@ def _emit(text: str, args) -> None:
         raise ConfigError(f"cannot write output: {exc}", source=args.out) from exc
 
 
-def _case_column(
-    grid: list[float], info: InformationStructure, s1: SignalComponentValue
-) -> Iterator[int]:
-    """``classify_case`` over an increasing grid, yielded one run of equal cases at a time.
-
-    After alpha the case falls from 4 to 1 as the prior rises, and after beta
-    it rises from 5 to 8, so each case is one run; bisection finds where it
-    ends by asking ``classify_case`` itself, the one statement of the tie rule.
-    """
-    sign = -1 if s1 is ALPHA else 1
-
-    def key(p):
-        return sign * classify_case(p, info, s1)
-
-    start = 0
-    while start < len(grid):
-        case = classify_case(grid[start], info, s1)
-        end = bisect_right(grid, sign * case, lo=start, key=key)
-        yield from repeat(case, end - start)
-        start = end
-
-
 def cmd_wtp(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
-    grid = np.linspace(0.0, 1.0, config.grid).tolist()
+    row = np.linspace(0.0, 1.0, config.grid)
+    grid = row.tolist()
     table = {
         "p": grid,
         "wtp_alpha": [willingness_to_pay(p, info, payoffs, ALPHA) for p in grid],
         "wtp_beta": [willingness_to_pay(p, info, payoffs, BETA) for p in grid],
-        "case_alpha": list(_case_column(grid, info, ALPHA)),
-        "case_beta": list(_case_column(grid, info, BETA)),
+        "case_alpha": _case(row, info, ALPHA).tolist(),
+        "case_beta": _case(row, info, BETA).tolist(),
     }
     _emit(render_table(table, args.format), args)
     return EXIT_OK

@@ -110,24 +110,16 @@ def classify_case(
     return _case(check_probability(p), info, s1)
 
 
-def _case(p: float, info: InformationStructure, s1: SignalComponentValue) -> int:
-    # classify_case for a prior already through check_probability.
+def _case(p, info: InformationStructure, s1: SignalComponentValue):
+    # classify_case for a prior already through check_probability, or for a
+    # numpy row of them: a float gives an int, a row an int row.  Each
+    # threshold the prior has passed moves it one case on, down from 4 after
+    # alpha and up from 5 after beta.  A prior on a threshold counts as past
+    # it after alpha and short of it after beta: the lower case number.
     lo, mid, hi = case_thresholds(info, s1)
     if s1 is ALPHA:
-        if p >= hi:
-            return 1
-        if p >= mid:
-            return 2
-        if p >= lo:
-            return 3
-        return 4
-    if p <= lo:
-        return 5
-    if p <= mid:
-        return 6
-    if p <= hi:
-        return 7
-    return 8
+        return 4 - (p >= lo) - (p >= mid) - (p >= hi)
+    return 5 + (p > lo) + (p > mid) + (p > hi)
 
 
 def willingness_to_pay(

@@ -101,9 +101,9 @@ class PayoffStructure:
     def __post_init__(self):
         for name in ("u_correct", "u_wrong"):
             object.__setattr__(self, name, _check_real(getattr(self, name), name))
-        if not self.u_correct - self.u_wrong > 0:
+        if not 0 < self.u_correct - self.u_wrong < math.inf:
             raise ParameterError(
-                "the premium for guessing correctly must be positive "
+                "the premium for guessing correctly must be positive and finite "
                 f"(u_correct={self.u_correct}, u_wrong={self.u_wrong})"
             )
 

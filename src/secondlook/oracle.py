@@ -325,10 +325,6 @@ def _critical_priors(
     return values
 
 
-def _near(x: float, values) -> bool:
-    return any(abs(x - v) <= BOUNDARY_EPS for v in values)
-
-
 # Each claim below walks one (theta, cost) slice: the kept priors, as Python
 # floats, and their enumerated willingness to pay, a 2 x n row (after alpha,
 # then after beta), and yields ``(params, detail)`` per violation;
@@ -577,11 +573,12 @@ def grid_theorem_check(
         the same way while the gap widens (no polarization).  Available as
         a diagnostic; not part of :data:`ALL_CHECKS`.
 
-    Returns an empty list when the claim holds everywhere on the grid.  An
-    invalid prior raises :class:`InvalidProbabilityError` and an invalid cost
-    :class:`ParameterError`, both on entry; the four pairwise claims raise
-    :class:`OrderingError` on entry for priors out of increasing order, and
-    ``polarization`` also for a repeated prior.
+    Returns an empty list when the claim holds everywhere on the grid.  On
+    entry, an invalid prior raises :class:`InvalidProbabilityError`; an
+    invalid cost or precision, a ``thetas`` that is not pairs and a ``costs``
+    that is not a sequence raise :class:`ParameterError`; and the four
+    pairwise claims raise :class:`OrderingError` for priors out of increasing
+    order, ``polarization`` also for a repeated prior.
     """
     if check not in ALL_CHECKS + EXTRA_CHECKS:
         raise ParameterError(
@@ -592,7 +589,14 @@ def grid_theorem_check(
         priors = default_prior_grid()
     # Validated once, here; the claims then see plain floats.
     priors = [check_probability(p, "prior") for p in priors]
-    costs = [check_cost(c) for c in costs]
+    try:
+        costs = [check_cost(c) for c in costs]
+    except TypeError:
+        raise ParameterError(f"costs must be a sequence of costs, got {costs!r}") from None
+    try:
+        infos = [InformationStructure(*pair) for pair in thetas]
+    except TypeError:
+        raise ParameterError(f"thetas must be (theta1, theta2) pairs, got {thetas!r}") from None
     if check in _PAIRWISE_CHECKS:
         # polarization_feasible needs p_i < p_j; pairwise_outcome p_i <= p_j.
         steps = np.diff(priors)
@@ -607,17 +611,14 @@ def grid_theorem_check(
         payoffs = PayoffStructure(1.0, 0.0)
     row = np.array(priors)
     violations: list[Violation] = []
-    for theta1, theta2 in thetas:
-        info = InformationStructure(theta1, theta2)
+    for info in infos:
         wtp = _enumerated_willingness(row, info, payoffs)
         for cost in costs:
             critical = _critical_priors(info, payoffs, cost)
-            kept = [k for k, p in enumerate(priors) if not _near(p, critical)]
+            kept = ~np.any(abs(row[:, None] - critical) <= BOUNDARY_EPS, axis=1)
             base = (("theta1", info.theta1), ("theta2", info.theta2), ("cost", cost))
             violations.extend(
                 Violation(check, base + params, detail)
-                for params, detail in claim(
-                    [priors[k] for k in kept], wtp[:, kept], info, payoffs, cost
-                )
+                for params, detail in claim(row[kept].tolist(), wtp[:, kept], info, payoffs, cost)
             )
     return violations

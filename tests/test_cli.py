@@ -27,7 +27,7 @@ from secondlook import (
 )
 from secondlook.cli import main
 from secondlook.config import DEFAULT_CONFIG, render_table
-from secondlook.incentives import willingness_to_pay
+from secondlook.incentives import _case, willingness_to_pay
 
 
 def run_cli(capsys, *args):
@@ -132,8 +132,9 @@ def test_wtp_case_runs_match_the_per_prior_rule(t1, t2, n, ties):
     if ties:  # the thresholds themselves, where the tie rule decides
         grid = sorted(grid + [*case_thresholds(info, ALPHA), *case_thresholds(info, BETA)])
     for s1 in (ALPHA, BETA):
-        column = list(cli._case_column(grid, info, s1))
+        column = _case(np.array(grid), info, s1).tolist()
         assert column == [classify_case(p, info, s1) for p in grid]
+        assert all(type(case) is int for case in column)  # cells read 2, not 2.0
 
 
 def test_wtp_json_matches_csv(capsys):
@@ -508,6 +509,12 @@ def test_invalid_override_exits_one(capsys):
     code, _, err = run_cli(capsys, "simulate", "--seed", "-1")
     assert code == 1
     assert err.startswith("error: ") and "seed" in err
+    # An infinite premium, u_correct - u_wrong overflowing, is no premium either.
+    premium = ("--u-correct=1e308", "--u-wrong=-1e308")
+    for args in (("wtp", *premium), ("verify", "--grid", "5", *premium, "--subjective-p", "none")):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
 def test_each_command_takes_exactly_its_flags():

@@ -213,6 +213,8 @@ def test_payoff_premium_must_be_positive():
         PayoffStructure(1.0, 1.0)
     with pytest.raises(ParameterError):
         PayoffStructure(0.0, 1.0)
+    with pytest.raises(ParameterError, match="finite"):
+        PayoffStructure(1e308, -1e308)  # finite utilities, an infinite premium
     assert PayoffStructure(2.0, 0.5).delta_u == 1.5
 
 

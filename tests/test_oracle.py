@@ -388,9 +388,15 @@ PAIRWISE_CHECKS = [
 
 
 @pytest.mark.parametrize("check", PAIRWISE_CHECKS)
-def test_array_claims_reject_what_the_scalar_api_rejects(check):
+def test_array_claims_reject_what_the_scalar_api_rejects(check, monkeypatch):
+    # All on entry: a slice that ran would call this and raise TypeError.
+    monkeypatch.setattr(oracle, "_enumerated_willingness", None)
     with pytest.raises(ParameterError):
         grid_theorem_check(check, priors=SMALL_GRID, costs=[float("nan")])
+    # A flat precision pair, a bare cost, and a bad precision in the second pair.
+    for bad in ({"thetas": (0.6, 0.8)}, {"costs": 0.1}, {"thetas": ((0.6, 0.8), (0.4, 0.8))}):
+        with pytest.raises(ParameterError):
+            grid_theorem_check(check, priors=SMALL_GRID, **bad)
     # On entry, whichever pairs a check goes on to select.
     for priors in ([0.9, 0.1], [0.2, 0.7, 0.4]):
         with pytest.raises(OrderingError):
