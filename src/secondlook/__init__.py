@@ -27,7 +27,6 @@ from .model import (
     PayoffStructure,
     Signal,
     SignalComponentValue,
-    StateOfWorld,
     conditional_second,
     marginal_first,
     posterior_after_first,

@@ -263,11 +263,9 @@ def cmd_sets(config: RunConfig, args) -> int:
 
 def cmd_example(config: RunConfig, args) -> int:
     """Replay the worked example; check reference values when parameters match."""
-    if len(config.priors) != 2:
-        raise ConfigError("the worked example needs two priors (low, high)")
+    p_low, p_high = _prior_pair(config, "the worked example")
     info, payoffs = config.info(), config.payoffs()
     cost = config.cost
-    p_low, p_high = config.priors
 
     outcome_ab = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(ALPHA, BETA))
     outcome_ba = pairwise_outcome(p_low, p_high, info, payoffs, cost, Signal(BETA, ALPHA))
@@ -365,13 +363,17 @@ def _subjective_prior(config: RunConfig, command: str) -> float:
     return config.subjective_p
 
 
-def cmd_polarize(config: RunConfig, args) -> int:
+def _prior_pair(config: RunConfig, user: str) -> tuple[float, float]:
     if len(config.priors) != 2:
-        raise ConfigError("the polarize command needs two priors (low, high)")
+        raise ConfigError(f"{user} needs two priors (low, high)")
+    return config.priors
+
+
+def cmd_polarize(config: RunConfig, args) -> int:
+    p_low, p_high = _prior_pair(config, "the polarize command")
     subjective = _subjective_prior(config, "polarize")
     info, payoffs = config.info(), config.payoffs()
     cost = config.cost
-    p_low, p_high = config.priors
     feas = polarization_feasible(p_low, p_high, info, payoffs, cost)
     # Over every route, so it is the probability of the rows marked polarized.
     probability = pattern_probability("PB", subjective, p_low, info, payoffs, cost, p_j=p_high)
@@ -402,11 +404,7 @@ def _simulated_pattern(config: RunConfig, pattern: str, subjective: float, draws
 
     Both read the signal law :mod:`secondlook.oracle` assigns the pattern.
     """
-    p_j = None
-    if pattern == "PB":
-        if len(config.priors) != 2:
-            raise ConfigError("pattern 'PB' needs two priors (low, high)")
-        p_j = config.priors[1]
+    p_j = _prior_pair(config, "pattern 'PB'")[1] if pattern == "PB" else None
     model = (config.priors[0], config.info(), config.payoffs(), config.cost)
     estimate = mc_pattern_frequency(pattern, subjective, *model, draws, config.seed, p_j=p_j)
     return estimate, pattern_probability(pattern, subjective, *model, p_j=p_j)

@@ -37,6 +37,7 @@ from .model import (
     check_cost,
     check_count,
     check_probability,
+    check_values,
 )
 
 _FLOAT_FORMAT = "%.12g"
@@ -72,13 +73,10 @@ class RunConfig:
     def validate(self, source: str = "<config>") -> "RunConfig":
         """Re-run all underlying type constraints; raise ConfigError on failure."""
         try:
-            for key in _LIST_KEYS:
-                if getattr(self, key) is not None and len(getattr(self, key)) == 0:
-                    raise ModelError(f"{key!r} needs at least one value")
             self.info()
             self.payoffs()
             check_cost(self.cost, "processing cost")
-            priors = [check_probability(p, "prior") for p in self.priors]
+            priors = check_values(self.priors, "priors", lambda p: check_probability(p, "prior"))
             if len(priors) > 2 or priors != sorted(priors):
                 raise ModelError(
                     f"'priors' must be one prior or a pair ordered low <= high, got {self.priors}"
@@ -87,8 +85,7 @@ class RunConfig:
                 check_probability(self.subjective_p, "subjective_p")
             check_count(self.grid, "grid", 2)
             check_count(self.seed, "seed", 0)
-            for c in self.cost_list():
-                check_cost(c, "costs")
+            check_values(self.cost_list(), "costs", lambda c: check_cost(c, "costs"))
         except ModelError as exc:
             raise ConfigError(str(exc), source=source) from exc
         return self

@@ -81,23 +81,18 @@ def _thresholds(t1: float, t2: float, after_alpha: bool) -> tuple[float, float, 
 
 
 def case_interval(case: int, info: InformationStructure) -> tuple[float, float]:
-    """Closed prior interval for one of the eight cases."""
-    lo_a, mid_a, hi_a = case_thresholds(info, ALPHA)
-    lo_b, mid_b, hi_b = case_thresholds(info, BETA)
-    intervals = {
-        1: (hi_a, 1.0),
-        2: (mid_a, hi_a),
-        3: (lo_a, mid_a),
-        4: (0.0, lo_a),
-        5: (0.0, lo_b),
-        6: (lo_b, mid_b),
-        7: (mid_b, hi_b),
-        8: (hi_b, 1.0),
-    }
-    try:
-        return intervals[check_count(case, "case", 1)]
-    except KeyError:
-        raise ParameterError(f"case must be in 1..8, got {case}") from None
+    """Closed prior interval for one of the eight cases: the inverse of :func:`_case`.
+
+    A prior past ``k`` of its component's thresholds ``(lo, mid, hi)`` is in
+    case ``4 - k`` after alpha and ``5 + k`` after beta, so the case runs from
+    ``ends[k]`` to ``ends[k + 1]`` of ``ends = (0, lo, mid, hi, 1)``.
+    """
+    case = check_count(case, "case", 1)
+    if case > 8:
+        raise ParameterError(f"case must be in 1..8, got {case}")
+    k = 4 - case if case <= 4 else case - 5
+    ends = (0.0, *case_thresholds(info, ALPHA if case <= 4 else BETA), 1.0)
+    return ends[k], ends[k + 1]
 
 
 def classify_case(

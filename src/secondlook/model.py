@@ -19,15 +19,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidProbabilityError, ModelError, ParameterError
-
-
-class StateOfWorld(Enum):
-    A = "A"
-    B = "B"
 
 
 class SignalComponentValue(Enum):
@@ -131,6 +127,17 @@ def check_cost(c: float, name: str = "cost") -> float:
     if value < 0:
         raise ParameterError(f"{name} must be >= 0, got {c!r}")
     return value
+
+
+def check_values(values, name: str, check) -> list:
+    """Validate a list argument: one or more values, each by ``check``, as a list."""
+    # Any iterable but a str or bytes, which would pass as a list of characters.
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ParameterError(f"{name!r} must be a list of values, got {values!r}")
+    checked = [check(value) for value in values]
+    if not checked:
+        raise ParameterError(f"{name!r} needs at least one value")
+    return checked
 
 
 def check_count(n: int, name: str, minimum: int) -> int:

@@ -41,6 +41,7 @@ from .model import (
     check_cost,
     check_count,
     check_probability,
+    check_values,
     conditional_second,
     marginal_first,
     signal_law,
@@ -309,7 +310,7 @@ BOUNDARY_EPS = 1e-9
 
 def default_prior_grid(n: int = 101) -> np.ndarray:
     """Evenly spaced priors with the endpoints pulled just inside (0, 1)."""
-    grid = np.linspace(0.0, 1.0, n)
+    grid = np.linspace(0.0, 1.0, check_count(n, "n", 2))
     grid[0] = GRID_MARGIN
     grid[-1] = 1.0 - GRID_MARGIN
     return grid
@@ -575,10 +576,10 @@ def grid_theorem_check(
 
     Returns an empty list when the claim holds everywhere on the grid.  On
     entry, an invalid prior raises :class:`InvalidProbabilityError`; an
-    invalid cost or precision, a ``thetas`` that is not pairs and a ``costs``
-    that is not a sequence raise :class:`ParameterError`; and the four
-    pairwise claims raise :class:`OrderingError` for priors out of increasing
-    order, ``polarization`` also for a repeated prior.
+    invalid cost or precision, a ``thetas`` that is not pairs, and an empty or
+    non-sequence ``priors``, ``thetas`` or ``costs`` raise :class:`ParameterError`;
+    and the four pairwise claims raise :class:`OrderingError` for priors out of
+    increasing order, ``polarization`` also for a repeated prior.
     """
     if check not in ALL_CHECKS + EXTRA_CHECKS:
         raise ParameterError(
@@ -588,13 +589,10 @@ def grid_theorem_check(
     if priors is None:
         priors = default_prior_grid()
     # Validated once, here; the claims then see plain floats.
-    priors = [check_probability(p, "prior") for p in priors]
+    priors = check_values(priors, "priors", lambda p: check_probability(p, "prior"))
+    costs = check_values(costs, "costs", check_cost)
     try:
-        costs = [check_cost(c) for c in costs]
-    except TypeError:
-        raise ParameterError(f"costs must be a sequence of costs, got {costs!r}") from None
-    try:
-        infos = [InformationStructure(*pair) for pair in thetas]
+        infos = check_values(thetas, "thetas", lambda pair: InformationStructure(*pair))
     except TypeError:
         raise ParameterError(f"thetas must be (theta1, theta2) pairs, got {thetas!r}") from None
     if check in _PAIRWISE_CHECKS:

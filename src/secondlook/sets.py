@@ -53,8 +53,7 @@ class ProbabilityInterval:
 
     lower: float
     upper: float
-    closed_lower: bool = False
-    closed_upper: bool = False
+    closed_ends: bool = False  # both ends in, or neither
     empty: bool = False
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ class ProbabilityInterval:
 
     @classmethod
     def closed(cls, lower: float, upper: float) -> "ProbabilityInterval":
-        return cls(lower, upper, closed_lower=True, closed_upper=True)
+        return cls(lower, upper, closed_ends=True)
 
     @classmethod
     def empty_interval(cls) -> "ProbabilityInterval":
@@ -78,9 +77,9 @@ class ProbabilityInterval:
     def __contains__(self, p: float) -> bool:
         if self.empty:
             return False
-        above = p >= self.lower if self.closed_lower else p > self.lower
-        below = p <= self.upper if self.closed_upper else p < self.upper
-        return above and below
+        if self.closed_ends:
+            return self.lower <= p <= self.upper
+        return self.lower < p < self.upper
 
 
 def inversion_thresholds(
@@ -164,24 +163,16 @@ def extreme_sets(info: InformationStructure) -> ExtremeSets:
     ne_alpha = h_set(0.0, info, payoffs, ALPHA)
     ne_beta = h_set(0.0, info, payoffs, BETA)
     connected = ne_beta.lower <= ne_alpha.upper
-    if connected:
-        union = (ProbabilityInterval.open(ne_alpha.lower, ne_beta.upper),)
-        complement = (
-            ProbabilityInterval.closed(0.0, ne_alpha.lower),
-            ProbabilityInterval.closed(ne_beta.upper, 1.0),
-        )
-    else:
-        union = (ne_alpha, ne_beta)
-        complement = (
-            ProbabilityInterval.closed(0.0, ne_alpha.lower),
-            ProbabilityInterval.closed(ne_alpha.upper, ne_beta.lower),
-            ProbabilityInterval.closed(ne_beta.upper, 1.0),
-        )
+    # Exactly, alpha's interval comes first; next to theta = 1/2 or 1 round-off can swap ends.
+    lower, upper = min(ne_alpha.lower, ne_beta.lower), max(ne_alpha.upper, ne_beta.upper)
+    union = (ProbabilityInterval.open(lower, upper),) if connected else (ne_alpha, ne_beta)
+    # The extreme priors: the closed gaps between 0, the union's ends in order, and 1.
+    ends = (0.0, *(end for part in union for end in (part.lower, part.upper)), 1.0)
     return ExtremeSets(
         non_extreme_alpha=ne_alpha,
         non_extreme_beta=ne_beta,
         non_extreme=union,
-        extreme=complement,
+        extreme=tuple(ProbabilityInterval.closed(*gap) for gap in zip(ends[::2], ends[1::2])),
         is_convex=connected,
     )
 

@@ -151,11 +151,17 @@ def test_semantic_validation_wrapped_as_config_error():
         {"grid": "3"},
         {"grid": None},
         {"grid": True},
+        {"priors": 0.3},
+        {"costs": 0.1},
+        {"costs": "0.1"},
     ],
 )
 def test_validate_rejects_non_numbers(override):
-    with pytest.raises(ConfigError):
+    (key,) = override
+    with pytest.raises(ConfigError, match=key) as excinfo:
         RunConfig(**override).validate()
+    # A string is one value, not a list of its characters.
+    assert "'0'" not in str(excinfo.value)
 
 
 def test_optional_none_values():

@@ -50,12 +50,28 @@ def test_case_interval_takes_an_integer_case(info, bad):
         case_interval(bad, info)
 
 
-def test_case_intervals_tile_unit_interval(info):
-    for cases in ((4, 3, 2, 1), (5, 6, 7, 8)):
+@given(
+    t1=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    t2=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(t1=0.6, t2=0.8)  # the ``info`` fixture
+@example(t1=0.9999999999999998, t2=0.8)
+@example(t1=0.6, t2=0.5000000000000001)
+@example(t1=0.9999999999999998, t2=0.5000000000000001)
+def test_case_intervals_tile_unit_interval(t1, t2):
+    info = InformationStructure(t1, t2)
+    for s1, cases in ((ALPHA, (4, 3, 2, 1)), (BETA, (5, 6, 7, 8))):
         spans = [case_interval(c, info) for c in cases]
         assert spans[0][0] == 0.0 and spans[-1][1] == 1.0
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            assert hi == pytest.approx(lo, abs=1e-15)
+            assert hi == lo
+        for case, (lo, hi) in zip(cases, spans):
+            middle = (lo + hi) / 2
+            if lo < middle < hi:
+                assert classify_case(middle, info, s1) == case
+            for end in (lo, hi):
+                holding = [c for c, (a, b) in zip(cases, spans) if a <= end <= b]
+                assert classify_case(end, info, s1) == min(holding)
 
 
 def test_classification_ties_take_lower_case_number(info):

@@ -10,6 +10,7 @@ from secondlook import (
     ALL_SIGNALS,
     ALPHA,
     BETA,
+    AcquisitionAction,
     ConfigError,
     InformationStructure,
     InvalidProbabilityError,
@@ -17,7 +18,6 @@ from secondlook import (
     PayoffStructure,
     RunConfig,
     Signal,
-    StateOfWorld,
     brute_force_voi,
     case_thresholds,
     classify_case,
@@ -227,7 +227,7 @@ def test_payoffs_must_be_finite_numbers(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", ["alpha", 1, None, pytest.param(StateOfWorld.A, id="StateOfWorld.A")]
+    "bad", ["alpha", 1, None, pytest.param(AcquisitionAction.SKIP, id="AcquisitionAction.SKIP")]
 )
 def test_signal_components_must_be_alpha_or_beta(bad, info, payoffs):
     # Anything else would be read as BETA wherever a component is compared to ALPHA.

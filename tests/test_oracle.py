@@ -397,10 +397,21 @@ def test_array_claims_reject_what_the_scalar_api_rejects(check, monkeypatch):
     for bad in ({"thetas": (0.6, 0.8)}, {"costs": 0.1}, {"thetas": ((0.6, 0.8), (0.4, 0.8))}):
         with pytest.raises(ParameterError):
             grid_theorem_check(check, priors=SMALL_GRID, **bad)
+    # An empty list once read as "holds everywhere", and a string as its characters.
+    for bad in ({"thetas": ()}, {"costs": []}, {"priors": []}, {"costs": "0.1"}):
+        (name,) = bad
+        with pytest.raises(ParameterError, match=f"'{name}'"):
+            grid_theorem_check(check, **{"priors": SMALL_GRID, **bad})
     # On entry, whichever pairs a check goes on to select.
     for priors in ([0.9, 0.1], [0.2, 0.7, 0.4]):
         with pytest.raises(OrderingError):
             grid_theorem_check(check, priors=priors)
+
+
+@pytest.mark.parametrize("n", [1, 0, -1, True, 2.5, "5"], ids=repr)
+def test_default_prior_grid_needs_two_or_more_priors(n):
+    with pytest.raises(ParameterError, match="n must be"):
+        default_prior_grid(n)
 
 
 def test_only_polarization_rejects_repeated_priors():

@@ -84,10 +84,25 @@ def test_extreme_sets_at_a_precision_an_ulp_above_half():
     t1=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
     t2=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
 )
+# Round-off put alpha's upper end past beta's, and the union once ended at beta's.
+@example(t1=0.5000000000000001, t2=0.75)
+@example(t1=0.6, t2=0.9999999999999998)
 def test_extreme_sets_exist_for_every_precision(t1, t2):
     sets = extreme_sets(InformationStructure(t1, t2))
     for interval in sets.non_extreme + sets.extreme:
         assert 0.0 <= interval.lower <= interval.upper <= 1.0
+    # Extreme and non-extreme pieces alternate along [0, 1]: each shared end
+    # belongs to the closed extreme piece, not to the open non-extreme one.
+    assert len(sets.extreme) == len(sets.non_extreme) + 1
+    pieces = [sets.extreme[0]]
+    for non_extreme, extreme in zip(sets.non_extreme, sets.extreme[1:]):
+        pieces += [non_extreme, extreme]
+    assert pieces[0].lower == 0.0 and pieces[-1].upper == 1.0
+    for left, right in zip(pieces, pieces[1:]):
+        assert left.upper == right.lower
+    for extreme in sets.extreme:
+        assert extreme.lower in extreme and extreme.upper in extreme
+        assert sets.is_extreme(extreme.lower) and sets.is_extreme(extreme.upper)
 
 
 def test_inversion_thresholds_invert_the_cost_function():
