@@ -38,6 +38,7 @@ from .config import (
 from .errors import ConfigError, ModelError
 from .incentives import (
     _case,
+    _willingness_rows,
     case_interval,
     max_willingness_to_pay,
     willingness_to_pay,
@@ -59,7 +60,7 @@ from .oracle import (
     DEFAULT_COSTS,
     DEFAULT_THETAS,
     PATTERN_IDS,
-    brute_force_voi,
+    _enumerated_willingness,
     default_prior_grid,
     grid_theorem_check,
     mc_pattern_frequency,
@@ -213,10 +214,11 @@ def cmd_wtp(config: RunConfig, args) -> int:
     info, payoffs = config.info(), config.payoffs()
     row = np.linspace(0.0, 1.0, config.grid)
     grid = row.tolist()
+    wtp_alpha, wtp_beta = _willingness_rows(grid, info, payoffs)
     table = {
         "p": grid,
-        "wtp_alpha": [willingness_to_pay(p, info, payoffs, ALPHA) for p in grid],
-        "wtp_beta": [willingness_to_pay(p, info, payoffs, BETA) for p in grid],
+        "wtp_alpha": wtp_alpha,
+        "wtp_beta": wtp_beta,
         "case_alpha": _case(row, info, ALPHA).tolist(),
         "case_beta": _case(row, info, BETA).tolist(),
     }
@@ -243,15 +245,16 @@ def cmd_sets(config: RunConfig, args) -> int:
     grid = np.linspace(0.0, 1.0, config.grid).tolist()
     # Each prior's willingness, and each low prior's row of all priors from it
     # on with its V memberships, once per run; tolist() keeps cells Python bools.
-    wtp = [tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in grid]
-    alpha, beta = np.array(wtp).T
+    wtp = _willingness_rows(grid, info, payoffs)
+    lows = list(zip(*wtp))
+    alpha, beta = np.array(wtp)
     highs = [(alpha[i:], beta[i:]) for i in range(len(grid))]
-    v_rows = [v_memberships(low, high) for low, high in zip(wtp, highs)]
+    v_rows = [v_memberships(low, high) for low, high in zip(lows, highs)]
     names = ["p_low", "p_high", "cost"] + [f.name.removeprefix("in_") for f in fields(PairClass)]
     table = {name: [] for name in names}
     for cost in config.cost_list():
         for i, p_low in enumerate(grid):
-            members = b_memberships(wtp[i], highs[i], cost) + v_rows[i]
+            members = b_memberships(lows[i], highs[i], cost) + v_rows[i]
             width = len(grid) - i
             parts = [repeat(p_low, width), grid[i:], repeat(cost, width)]
             parts += (m.tolist() for m in members)
@@ -452,13 +455,11 @@ def _verify_invariants(config: RunConfig):
     broken = (abs(chained - direct) > 1e-12, abs(mart - p) > 1e-12)
     yield "updating identities", sum(int(np.count_nonzero(x)) for x in broken)
 
-    # Closed-form willingness to pay against the brute-force enumeration.
-    gaps = (
-        abs(willingness_to_pay(p, info, payoffs, s1) - brute_force_voi(p, info, payoffs, s1))
-        for p in default_prior_grid(101).tolist()
-        for s1 in (ALPHA, BETA)
-    )
-    yield "value-of-information agreement", sum(gap > VOI_TOLERANCE for gap in gaps)
+    # Closed-form willingness to pay against the grid checks' enumerated rows.
+    grid = default_prior_grid(101)
+    closed = np.array(_willingness_rows(grid.tolist(), info, payoffs))
+    gaps = abs(closed - _enumerated_willingness(grid, info, payoffs))
+    yield "value-of-information agreement", int(np.count_nonzero(gaps > VOI_TOLERANCE))
 
     # Acquisition-interval endpoints invert the cost function.
     inv_bad = 0
@@ -476,10 +477,7 @@ def _verify_invariants(config: RunConfig):
     # random(2) then a uniform(0, ceiling), which numpy draws as 0 + ceiling * u.
     draws = rng.random((2000, 3))
     low, high = (
-        tuple(
-            np.array([willingness_to_pay(p, info, payoffs, s1) for p in column])
-            for s1 in (ALPHA, BETA)
-        )
+        np.array(_willingness_rows(column, info, payoffs))
         for column in np.sort(draws[:, :2], axis=1).T.tolist()
     )
     b_sets = b_memberships(low, high, ceiling * draws[:, 2])

@@ -148,6 +148,15 @@ def willingness_to_pay(
     return value if value > 0.0 else 0.0  # as max(0.0, value): -0.0 and NaN give 0.0
 
 
+def _willingness_rows(priors, info: InformationStructure, payoffs: PayoffStructure):
+    # Each prior's willingness after alpha, then after beta, as two lists: one
+    # positional call per prior and component through this module's name at
+    # call time, so whoever rebinds incentives.willingness_to_pay sees each.
+    return tuple(
+        [willingness_to_pay(p, info, payoffs, s1) for p in priors] for s1 in (ALPHA, BETA)
+    )
+
+
 def max_willingness_to_pay(
     info: InformationStructure, payoffs: PayoffStructure
 ) -> float:

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidProbabilityError, ModelError, ParameterError
+from .errors import InvalidProbabilityError, ModelError, OrderingError, ParameterError
 
 
 class SignalComponentValue(Enum):
@@ -138,6 +138,15 @@ def check_values(values, name: str, check) -> list:
     if not checked:
         raise ParameterError(f"{name!r} needs at least one value")
     return checked
+
+
+def check_pair(p_i: float, p_j: float, strict: bool = False) -> tuple[float, float]:
+    """Validate a pair of priors in order: ``p_i <= p_j``, or ``p_i < p_j`` if ``strict``."""
+    p_i, p_j = check_probability(p_i, "p_i"), check_probability(p_j, "p_j")
+    if p_i > p_j or (strict and p_i == p_j):
+        order = "<" if strict else "<="
+        raise OrderingError(f"pair priors must satisfy p_i {order} p_j, got ({p_i}, {p_j})")
+    return p_i, p_j
 
 
 def check_count(n: int, name: str, minimum: int) -> int:

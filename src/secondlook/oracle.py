@@ -35,7 +35,6 @@ from .model import (
     BETA,
     InformationStructure,
     PayoffStructure,
-    Signal,
     SignalComponentValue,
     check_component,
     check_cost,
@@ -139,22 +138,24 @@ class MonteCarloEstimate:
         )
 
 
-def _pattern_indicator(
-    pattern: str,
-    p: float,
-    info: InformationStructure,
-    payoffs: PayoffStructure,
-    cost: float,
-    signal: Signal,
-    p_j: float | None,
-) -> bool:
-    if pattern == "PB":
-        return pairwise_outcome(p, p_j, info, payoffs, cost, signal).polarized
-    if pattern in ("CB", "DB"):
-        report = confirmation_report(p, info, payoffs, cost, signal)
-        return report.confirmatory if pattern == "CB" else report.disproving
-    report = reaction_report(p, info, payoffs, cost, signal)
-    return report.underreaction if pattern == "UR" else report.overreaction
+def _pattern_weight(pattern, weights, total, p, info, payoffs, cost, p_j):
+    # ``total`` (0.0 for a probability, 0 for a count of draws) plus the weight
+    # of each signal, in ``ALL_SIGNALS`` order, that shows the pattern; a signal
+    # of zero weight is not evaluated.
+    for signal, weight in zip(ALL_SIGNALS, weights):
+        if not weight > 0:
+            continue
+        if pattern == "PB":
+            shows = pairwise_outcome(p, p_j, info, payoffs, cost, signal).polarized
+        elif pattern in ("CB", "DB"):
+            report = confirmation_report(p, info, payoffs, cost, signal)
+            shows = report.confirmatory if pattern == "CB" else report.disproving
+        else:
+            report = reaction_report(p, info, payoffs, cost, signal)
+            shows = report.underreaction if pattern == "UR" else report.overreaction
+        if shows:
+            total += weight
+    return total
 
 
 def _law_of(pattern: str) -> str:
@@ -189,14 +190,8 @@ def pattern_probability(
     """
     p_subjective = check_probability(p_subjective, "p_subjective")
     _check_pattern(pattern, p_j)
-    total = 0.0
     weights = signal_law(p_subjective, info, _law_of(pattern))
-    for signal, weight in zip(ALL_SIGNALS, weights):
-        if weight > 0.0 and _pattern_indicator(
-            pattern, p, info, payoffs, cost, signal, p_j
-        ):
-            total += weight
-    return total
+    return _pattern_weight(pattern, weights, 0.0, p, info, payoffs, cost, p_j)
 
 
 #: Draws per block of the Monte Carlo: memory is O(block), whatever ``draws``.
@@ -271,11 +266,8 @@ def mc_pattern_frequency(
         )
     else:
         thresholds = (p_subjective, info.theta1, info.theta2)
-    hits = 0
-    for signal, count in zip(ALL_SIGNALS, _signal_counts(thresholds, draws, seed)):
-        if count and _pattern_indicator(pattern, p, info, payoffs, cost, signal, p_j):
-            hits += count
-    freq = hits / draws
+    counts = _signal_counts(thresholds, draws, seed)
+    freq = _pattern_weight(pattern, counts, 0, p, info, payoffs, cost, p_j) / draws
     return MonteCarloEstimate(
         frequency=freq,
         standard_error=math.sqrt(freq * (1.0 - freq) / draws),
@@ -438,9 +430,9 @@ def _mirrored(priors, wtp, cost):
         for i, j, alpha, beta in zip(*(x.tolist() for x in selected)):
             p_i, p_j = priors[a + i], priors[b + j]
             if alpha:
-                yield p_i, p_j, Signal(ALPHA, BETA)
+                yield p_i, p_j, ALL_SIGNALS[1]  # (alpha, beta)
             if beta:
-                yield p_i, p_j, Signal(BETA, ALPHA)
+                yield p_i, p_j, ALL_SIGNALS[2]  # (beta, alpha)
 
 
 def _ordered_gap_contraction(priors, wtp, info, payoffs, cost):
@@ -596,7 +588,7 @@ def grid_theorem_check(
     except TypeError:
         raise ParameterError(f"thetas must be (theta1, theta2) pairs, got {thetas!r}") from None
     if check in _PAIRWISE_CHECKS:
-        # polarization_feasible needs p_i < p_j; pairwise_outcome p_i <= p_j.
+        # model.check_pair on the row: strict for polarization, weak for the rest.
         steps = np.diff(priors)
         backward = np.flatnonzero(steps <= 0.0 if check == "polarization" else steps < 0.0)
         if backward.size:

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndifferentPriorError, OrderingError
-from .incentives import AcquisitionAction, willingness_to_pay
+from .errors import IndifferentPriorError
+from .incentives import AcquisitionAction, _willingness_rows, willingness_to_pay
 from .model import (
     ALL_SIGNALS,
     ALPHA,
@@ -46,6 +46,7 @@ from .model import (
     PayoffStructure,
     Signal,
     check_cost,
+    check_pair,
     check_probability,
     signal_law,
     _posterior,
@@ -88,9 +89,7 @@ def realized_rows(p, info: InformationStructure, payoffs: PayoffStructure, cost:
     import numpy as np  # only the grid checks build rows
 
     cost = check_cost(cost)
-    wtp = np.array(
-        [[willingness_to_pay(x, info, payoffs, s1) for x in p.tolist()] for s1 in (ALPHA, BETA)]
-    )
+    wtp = np.array(_willingness_rows(p.tolist(), info, payoffs))
     acquires = cost <= wtp[[0 if s.first is ALPHA else 1 for s in ALL_SIGNALS]]  # ties acquire
     interim = {s1: _posterior(p, info, s1) for s1 in (ALPHA, BETA)}
     full = np.array([_posterior(p, info, s.first, s.second) for s in ALL_SIGNALS])
@@ -130,10 +129,7 @@ def pairwise_outcome(
     signal: Signal,
 ) -> PairwiseOutcome:
     """Evaluate one signal realization for a pair of priors ``p_i <= p_j``."""
-    p_i = check_probability(p_i, "p_i")
-    p_j = check_probability(p_j, "p_j")
-    if p_i > p_j:
-        raise OrderingError(f"pair priors must satisfy p_i <= p_j, got ({p_i}, {p_j})")
+    p_i, p_j = check_pair(p_i, p_j)
     post_i, act_i = realized_posterior(p_i, info, payoffs, cost, signal)
     post_j, act_j = realized_posterior(p_j, info, payoffs, cost, signal)
     return PairwiseOutcome(
@@ -211,16 +207,11 @@ def polarization_feasible(
     willingness-to-pay orderings (some cost would separate the decisions);
     with a cost they are the acquisition outcomes at that cost.
     """
-    p_i = check_probability(p_i, "p_i")
-    p_j = check_probability(p_j, "p_j")
-    if not p_i < p_j:
-        raise OrderingError(f"pair priors must satisfy p_i < p_j, got ({p_i}, {p_j})")
+    p_i, p_j = check_pair(p_i, p_j, strict=True)
     if c is not None:
         c = check_cost(c)
     theta_ok = info.theta2 > info.theta1
-    wtp_i, wtp_j = (
-        tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in (p_i, p_j)
-    )
+    wtp_i, wtp_j = zip(*_willingness_rows((p_i, p_j), info, payoffs))
     one_sided = v_memberships(wtp_i, wtp_j) if c is None else b_memberships(wtp_i, wtp_j, c)
     crossing = (
         _posterior(p_i, info, ALPHA),

@@ -34,8 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ExtremeBeliefError, OrderingError, ParameterError
-from .incentives import case_thresholds, max_willingness_to_pay, willingness_to_pay
+from .errors import ExtremeBeliefError, ParameterError
+from .incentives import (
+    _willingness_rows,
+    case_thresholds,
+    max_willingness_to_pay,
+    willingness_to_pay,
+)
 from .model import (
     ALPHA,
     BETA,
@@ -44,6 +49,7 @@ from .model import (
     SignalComponentValue,
     check_component,
     check_cost,
+    check_pair,
     check_probability,
 )
 
@@ -274,12 +280,7 @@ def classify_pair(
     willingness is at least the cost and the other's falls short of it, so B
     at cost ``c`` always implies the matching V membership.
     """
-    p_i = check_probability(p_i, "p_i")
-    p_j = check_probability(p_j, "p_j")
-    if p_i > p_j:
-        raise OrderingError(f"pair priors must satisfy p_i <= p_j, got ({p_i}, {p_j})")
+    p_i, p_j = check_pair(p_i, p_j)
     c = check_cost(c)
-    low, high = (
-        tuple(willingness_to_pay(p, info, payoffs, s1) for s1 in (ALPHA, BETA)) for p in (p_i, p_j)
-    )
+    low, high = zip(*_willingness_rows((p_i, p_j), info, payoffs))
     return PairClass(*b_memberships(low, high, c), *v_memberships(low, high))

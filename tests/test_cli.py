@@ -22,6 +22,7 @@ from secondlook import (
     classify_case,
     classify_pair,
     cli,
+    incentives,
     model,
     sets,
 )
@@ -420,6 +421,26 @@ def test_pair_suite_counts_what_classify_pair_counts(monkeypatch):
         expected += any(b and not v for b, v in zip(memberships[:4], memberships[4:]))
     counts = dict(cli._verify_invariants(DEFAULT_CONFIG))
     assert counts["one-sided acquisition implies willingness ordering"] == expected > 0
+
+
+def test_sweeps_call_willingness_through_the_incentives_name(capsys, monkeypatch):
+    # A tracer that rebinds incentives.willingness_to_pay, keyed on its four
+    # positional arguments, sees every call of the sweeps: wtp makes one per
+    # prior and component, no two alike.
+    calls = []
+    original = incentives.willingness_to_pay
+
+    def recording(p, info, payoffs, s1, /):
+        calls.append((p, info, payoffs, s1))
+        return original(p, info, payoffs, s1)
+
+    monkeypatch.setattr(incentives, "willingness_to_pay", recording)
+    assert run_cli(capsys, "wtp", "--grid", "11")[0] == 0
+    assert len(calls) == len(set(calls)) == 22
+    for args in (("sets", "--grid", "5"), ("verify", "--grid", "7", "--draws", "1000")):
+        calls.clear()
+        assert run_cli(capsys, *args)[0] == 0
+        assert calls, args
 
 
 @pytest.mark.parametrize("flag", ["none", "None", "NONE"])

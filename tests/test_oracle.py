@@ -310,7 +310,7 @@ def test_grid_checker_catches_perturbed_willingness(monkeypatch, check, offset):
 )
 def test_grid_checker_catches_perturbed_closed_form(monkeypatch, check, count):
     monkeypatch.setattr(
-        "secondlook.patterns.willingness_to_pay",
+        "secondlook.incentives.willingness_to_pay",
         lambda *args: willingness_to_pay(*args) + 0.01,
     )
     assert len(grid_theorem_check(check, priors=SMALL_GRID)) == count

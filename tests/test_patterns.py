@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from secondlook import (
     AcquisitionAction,
     IndifferentPriorError,
     InformationStructure,
+    InvalidProbabilityError,
     OrderingError,
     ParameterError,
     PayoffStructure,
@@ -126,6 +128,26 @@ def test_polarization_feasible_ordering(info, payoffs):
         polarization_feasible(0.7, 0.3, info, payoffs, 0.1)
     with pytest.raises(OrderingError):
         polarization_feasible(0.4, 0.4, info, payoffs, 0.1)
+
+
+def test_pair_order_messages(info, payoffs):
+    # One rule, model.check_pair: weak for pairwise_outcome and classify_pair,
+    # strict for polarization_feasible, so only it rejects equal priors.
+    weak = re.escape("pair priors must satisfy p_i <= p_j, got (0.7, 0.3)")
+    with pytest.raises(OrderingError, match=f"^{weak}$"):
+        pairwise_outcome(0.7, 0.3, info, payoffs, 0.1, Signal(ALPHA, BETA))
+    with pytest.raises(OrderingError, match=f"^{weak}$"):
+        classify_pair(0.7, 0.3, 0.1, info, payoffs)
+    for p_i, p_j in ((0.7, 0.3), (0.4, 0.4)):
+        strict = re.escape(f"pair priors must satisfy p_i < p_j, got ({p_i}, {p_j})")
+        with pytest.raises(OrderingError, match=f"^{strict}$"):
+            polarization_feasible(p_i, p_j, info, payoffs, 0.1)
+    pairwise_outcome(0.4, 0.4, info, payoffs, 0.1, Signal(ALPHA, BETA))
+    classify_pair(0.4, 0.4, 0.1, info, payoffs)
+    # Each prior is still validated under its own name, before the order.
+    for bad, name in (((1.5, 0.3), "p_i"), ((0.3, -0.1), "p_j")):
+        with pytest.raises(InvalidProbabilityError, match=f"^{name} must lie"):
+            polarization_feasible(*bad, info, payoffs, 0.1)
 
 
 def test_belief_crossing_polarization_route(info, payoffs):
